@@ -15,7 +15,9 @@ from .errors import ConfigError, ThermoformError
 from .inducing import build_scheme, choose_base, scheme_to_csv
 from .maps import FAMILY_PARAM, make_map
 from .stability import report_to_csv, run_sweep
-from .thermo import gibbs_state, measure_to_csv, project_measure, solve_pressure
+from .thermo import (
+    SpectralOperator, gibbs_state, measure_to_csv, project_measure, solve_pressure,
+)
 from .tower import build_tower, tower_to_dot, transitive_component
 from .util import fmt12
 
@@ -69,14 +71,14 @@ def cmd_induce(cfg, out):
 
 def cmd_pressure(cfg, out):
     _, _, scheme = _scheme(cfg)
+    op = SpectralOperator(scheme, cfg["grid"])
     path = os.path.join(out, "pressure.csv")
     with open(path, "w") as fh:
         fh.write("t,pressure\n")
         for t in cfg["t_values"]:
-            p = solve_pressure(scheme, t, bracket=(cfg["bracket_lo"],
-                                                   cfg["bracket_hi"]),
-                               tol=cfg["tol"], estimator=cfg["estimator"],
-                               grid=cfg["grid"])
+            p = solve_pressure(op, t, bracket=(cfg["bracket_lo"],
+                                               cfg["bracket_hi"]),
+                               tol=cfg["tol"], estimator=cfg["estimator"])
             print(f"t={fmt12(t)} P={fmt12(p)}")
             fh.write(f"{fmt12(t)},{fmt12(p)}\n")
     return 0
@@ -84,9 +86,10 @@ def cmd_pressure(cfg, out):
 
 def cmd_equilibrium(cfg, out):
     m, _, scheme = _scheme(cfg)
+    op = SpectralOperator(scheme, cfg["grid"])
     for t in cfg["t_values"]:
-        gs = gibbs_state(scheme, t, weight_depth=cfg["weight_depth"],
-                         grid=cfg["grid"], rho_tol=cfg["rho_tol"],
+        gs = gibbs_state(op, t, weight_depth=cfg["weight_depth"],
+                         rho_tol=cfg["rho_tol"],
                          rho_iters=cfg["rho_iters"],
                          tail_allowance=cfg["tail_allowance"],
                          variation_kmax=cfg["variation_kmax"],
@@ -165,8 +168,9 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--plot", action="store_true", help="write SVG charts")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if name == "stability":
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker processes for the ladder rungs")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -174,10 +178,8 @@ def main(argv=None):
             cfg.values["out_dir"] = args.out
         if args.plot:
             cfg.values["plot"] = True
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             cfg.values["threads"] = args.threads
-        if args.seed is not None:
-            cfg.values["seed"] = args.seed
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ _SCHEMA = {
         "delta": (float, 0.1),
         "n_max": (int, 20),
         "bins": (int, 4096),
-        "seed": (int, 2026),
         "out_dir": (str, "out"),
         "tau_cap": (int, 8),
         "require_boundary": ("bool", False),
@@ -32,8 +31,6 @@ _SCHEMA = {
         "max_domains": (int, 100_000),
     },
     "pressure": {
-        "k_max": (int, 4),
-        "n": (int, 0),          # 0 = derive from n_max
         "bracket_lo": (float, -5.0),
         "bracket_hi": (float, 5.0),
         "tol": (float, 1e-4),
@@ -107,7 +104,6 @@ class ExperimentConfig:
             "weight_depth": min(v["weight_depth"], 2),
             "variation_kmax": min(v["variation_kmax"], 4),
             "require_boundary": v["require_boundary"],
-            "seed": v["seed"],
             "threads": v["threads"],
         }
 

@@ -1,15 +1,12 @@
-"""Independent acip machinery: Ulam discretisation, Birkhoff statistics,
-Lyapunov exponents.  Cross-validation oracle for the t = 1 pipeline."""
+"""Grid densities on [0,1]: the projected equilibrium as a density, its
+Lyapunov exponent, and Birkhoff orbit histograms (an independent oracle for
+the t = 1 pipeline)."""
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import ResolutionMismatchError, UlamNotConvergedError
 from .maps import CRITICAL_CLEARANCE, IntervalMap
-
-SAMPLES_PER_BIN = 64
 
 
 @dataclass(frozen=True)
@@ -36,40 +33,6 @@ def measure_density(mu) -> GridDensity:
     return GridDensity(np.asarray(mu.masses) * len(mu.masses))
 
 
-def ulam(m: IntervalMap, bins, max_iter=10_000, tol=1e-10) -> GridDensity:
-    """Stationary density of the Ulam discretisation of the transfer operator.
-
-    Row-stochastic matrix P[i][j] = fraction of bin i mapping into bin j,
-    estimated from SAMPLES_PER_BIN stratified points per bin; the stationary
-    left vector comes from power iteration with L1 normalisation.
-    """
-    if bins < 16:
-        raise ValueError("bins must be >= 16")
-    n = int(bins)
-    offs = (np.arange(SAMPLES_PER_BIN) + 0.5) / SAMPLES_PER_BIN
-    rows = np.repeat(np.arange(n), SAMPLES_PER_BIN)
-    x = (rows + np.tile(offs, n)) / n
-    fx = np.asarray(m.f(x))
-    cols = np.minimum((fx * n).astype(int), n - 1)
-    data = np.full(len(rows), 1.0 / SAMPLES_PER_BIN)
-    P = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        w = v @ P
-        w /= w.sum()
-        if float(np.abs(w - v).sum()) < tol:
-            return GridDensity(w * n)
-        v = w
-    raise UlamNotConvergedError(f"power iteration not converged in {max_iter} steps")
-
-
-def l1_distance(a: GridDensity, b: GridDensity):
-    """int |a - b| dx for equal-resolution densities."""
-    if a.bins != b.bins:
-        raise ResolutionMismatchError(f"bin mismatch: {a.bins} vs {b.bins}")
-    return float(np.abs(a.values - b.values).sum() / a.bins)
-
-
 def lyapunov(m: IntervalMap, dens: GridDensity, clearance=CRITICAL_CLEARANCE):
     """int log|Df| d(mu) on the grid, skipping critical-clearance bins."""
     c = dens.centers
@@ -87,7 +50,7 @@ def birkhoff_density(m: IntervalMap, bins, orbits=512, steps=4000, burn=500,
                      seed=2026) -> GridDensity:
     """Histogram of long Birkhoff orbits from seeded random starts.
 
-    Orbit-average oracle used to cross-check Ulam and projected densities;
+    Orbit-average oracle used to cross-check projected densities;
     vectorised over starting points.
     """
     rng = np.random.default_rng(seed)
@@ -101,13 +64,3 @@ def birkhoff_density(m: IntervalMap, bins, orbits=512, steps=4000, burn=500,
         counts += np.bincount(idx, minlength=bins)
     total = counts.sum()
     return GridDensity(counts / total * bins)
-
-
-def density_to_csv(dens: GridDensity, path):
-    from .util import fmt12
-
-    with open(path, "w") as fh:
-        fh.write("bin_left,value\n")
-        n = dens.bins
-        for i, v in enumerate(dens.values):
-            fh.write(f"{fmt12(i / n)},{fmt12(v)}\n")

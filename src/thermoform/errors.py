@@ -61,20 +61,12 @@ class TransferOperatorDivergedError(ThermoformError):
     """Density iteration did not converge within the iteration cap."""
 
 
-class UlamNotConvergedError(ThermoformError):
-    """Power iteration of the Ulam matrix did not converge."""
-
-
 class TailUnderresolvedError(ThermoformError):
     """Fewer than three usable tail points for the decay fit."""
 
 
 class IncomparableSchemesError(ThermoformError):
     """Schemes do not share a base-cylinder itinerary."""
-
-
-class ResolutionMismatchError(ThermoformError):
-    """Grid densities or histograms with different bin counts."""
 
 
 class LowCoverageWarning(UserWarning):

@@ -98,14 +98,6 @@ def check_set(tower: HofbauerTower, A, delta, tol=IDENT_TOL):
     return out
 
 
-def pull_through_word(m: IntervalMap, word, y):
-    """Preimage of y under the monotone branch of f^len(word) coded by word."""
-    cur = np.asarray(y, dtype=float)
-    for sym in reversed(word):
-        cur = m.invert(sym, cur)
-    return cur
-
-
 def _extension_ok(m: IntervalMap, word, ext_interval, tol=1e-12):
     """Does the branch extend diffeomorphically over the fattened base?
 
@@ -177,8 +169,7 @@ def build_scheme(
                 if in_cset(ilo, ihi) and nhi > a0 + END_TOL and nlo < a1 - END_TOL:
                     if nlo <= a0 + END_TOL and nhi >= a1 - END_TOL:
                         # Full return: the sub-piece covering the base is a branch.
-                        xa = float(pull_through_word(m, nword, a0))
-                        xb = float(pull_through_word(m, nword, a1))
+                        xa, xb = m.pull_back(nword, (a0, a1), logs=False)[0].tolist()
                         blo, bhi = min(xa, xb), max(xa, xb)
                         ext = _extension_ok(m, nword, fatten((a0, a1), delta))
                         branches.append(Branch(blo, bhi, step, nword, ext))
@@ -189,8 +180,7 @@ def build_scheme(
                         # Partial entry: those points return but not onto the
                         # full base; drop them, keep the outside parts alive.
                         covered = (max(nlo, a0), min(nhi, a1))
-                        xa = float(pull_through_word(m, nword, covered[0]))
-                        xb = float(pull_through_word(m, nword, covered[1]))
+                        xa, xb = m.pull_back(nword, covered, logs=False)[0].tolist()
                         lost += abs(xb - xa)
                         for glo, ghi in ((nlo, a0), (a1, nhi)):
                             if ghi - glo > WIDTH_FLOOR:

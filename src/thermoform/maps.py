@@ -90,6 +90,36 @@ class IntervalMap:
         lo, hi = self.branch_interval(b)
         return bisect_monotone_vec(self.f, lo, hi, y)
 
+    def pull_back(self, symbols, points, logs=True):
+        """Pull points back through the level-1 branches coded by `symbols`.
+
+        `symbols` is one itinerary shared by all points, or an (n, L) array
+        with one itinerary per row of `points` (shape (n, ...)).  Symbols are
+        inverted from last to first, so the result x has f^j(x) in branch
+        symbols[j].  Returns (x, sumlog) with sumlog the sum of log|Df| over
+        x, f(x), ..., f^(L-1)(x); with logs=False, sumlog is None and the
+        orbit may meet a critical point (endpoint geometry).
+
+        Raises SingularPotentialError when the orbit meets |Df| < 1e-300.
+        """
+        syms = np.asarray(symbols)
+        z = np.array(points, dtype=float)
+        sumlog = np.zeros_like(z) if logs else None
+        for j in range(syms.shape[-1] - 1, -1, -1):
+            col = syms[..., j]
+            if col.ndim == 0:
+                z = self.invert(int(col), z)
+            else:
+                for b in np.unique(col):
+                    rows = col == b
+                    z[rows] = self.invert(int(b), z[rows])
+            if logs:
+                d = np.abs(self.df(z))
+                if np.any(d < 1e-300):
+                    raise SingularPotentialError("pullback orbit hit zero derivative")
+                sumlog += np.log(d)
+        return z, sumlog
+
     def invert_scalar(self, b, y, tol=1e-13):
         """Bisection preimage of a scalar y in branch b, to width `tol`."""
         lo, hi = self.branch_interval(b)

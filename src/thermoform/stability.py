@@ -16,7 +16,9 @@ from .cylinders import partition
 from .errors import TailUnderresolvedError, IncomparableSchemesError, ThermoformError
 from .inducing import build_scheme, choose_base
 from .maps import FAMILY_PARAM, c2_distance, make_map
-from .thermo import EquilibriumMeasure, GibbsState, gibbs_state, project_measure
+from .thermo import (
+    EquilibriumMeasure, GibbsState, SpectralOperator, gibbs_state, project_measure,
+)
 from .tower import build_tower, transitive_component
 from .util import fmt12
 
@@ -60,11 +62,6 @@ def weak_star_vector(a: EquilibriumMeasure, b: EquilibriumMeasure,
         abs(float(np.sum((a.masses - b.masses) * g(c))))
         for _, g in dictionary.items()
     )
-
-
-def weak_star_distance(a, b, dictionary: TestDictionary):
-    """max over the dictionary of |int g da - int g db|."""
-    return max(weak_star_vector(a, b, dictionary))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +168,6 @@ SWEEP_DEFAULTS = {
     "require_boundary": False,
     "c2_grid": 1000,
     "dictionary_size": 8,
-    "seed": 2026,
     "threads": 1,
 }
 
@@ -229,13 +225,13 @@ def _pipeline_state(family, parameter, base_itin, cfg):
     return m, scheme
 
 
-def _equilibrium(scheme, t, cfg):
+def _equilibrium(op, t, cfg):
     gs = gibbs_state(
-        scheme, t,
-        weight_depth=cfg["weight_depth"], grid=cfg["pressure_grid"],
+        op, t,
+        weight_depth=cfg["weight_depth"],
         variation_kmax=cfg["variation_kmax"],
     )
-    mu = project_measure(scheme, gs, bins=cfg["bins"],
+    mu = project_measure(op.scheme, gs, bins=cfg["bins"],
                          split_parts=cfg["split_parts"])
     return gs, mu
 
@@ -265,7 +261,8 @@ def run_sweep(config) -> StabilityReport:
     base_itin = base_cyl.itinerary
     base_scheme = build_scheme(base_map, base_tower, base_cyl,
                                delta=cfg["delta"], n_max=cfg["n_max"])
-    base_states = {t: _equilibrium(base_scheme, t, cfg) for t in t_values}
+    base_op = SpectralOperator(base_scheme, cfg["pressure_grid"])
+    base_states = {t: _equilibrium(base_op, t, cfg) for t in t_values}
 
     report = StabilityReport(family, parameter, base_itin, t_values, ladder)
     report.base_pressure = {t: base_states[t][0].pressure for t in t_values}
@@ -286,10 +283,16 @@ def run_sweep(config) -> StabilityReport:
                 rows.append(RungResult(off, rung_param, t,
                                        error=f"{type(e).__name__}: {e}"))
             return rows
+        try:
+            rung_op = SpectralOperator(rung_scheme, cfg["pressure_grid"])
+        except ThermoformError as e:
+            return [RungResult(off, rung_param, t, c2=c2,
+                               error=f"{type(e).__name__}: {e}")
+                    for t in t_values]
         for t in t_values:
             row = RungResult(off, rung_param, t, c2=c2)
             try:
-                gs, mu = _equilibrium(rung_scheme, t, cfg)
+                gs, mu = _equilibrium(rung_op, t, cfg)
                 base_gs, base_mu = base_states[t]
                 row.pressure = gs.pressure
                 row.delta_p = abs(gs.pressure - base_gs.pressure)

@@ -5,10 +5,17 @@ inverse branches (each word cylinder contains exactly one), and every
 quantity depending on (t, s) factors through the t- and s-independent orbit
 data (sum of log|Df| and total time), so pressure root-finding reuses one
 enumeration.
+
+Words of depth k are (n, k) int arrays of branch indices.  The per-scheme
+state (assembled transfer operator, branch anchors, word data) lives in one
+SpectralOperator that the caller builds for each scheme and passes to
+pressure_estimate, solve_pressure and gibbs_state.  Nothing is kept at
+module level, so a result depends on (scheme, grid, t) and not on which
+calls came before it.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 import math
 import warnings
 
@@ -36,64 +43,70 @@ WORD_CAP = 2_000_000
 # Word enumeration and periodic anchors
 # ---------------------------------------------------------------------------
 
-def enumerate_words(scheme: InducingScheme, k, budget=None, start=None,
-                    max_words=WORD_CAP):
+def enumerate_words(scheme: InducingScheme, k, budget=None, max_words=WORD_CAP):
     """All k-words of branch indices with total inducing time <= budget.
 
-    Lexicographic in branch indices (branches are ordered left to right),
-    hence deterministic.  budget=None means unconstrained.
+    Returns an (n, k) int array, lexicographic in branch indices (branches
+    are ordered left to right), hence deterministic.  budget=None means
+    unconstrained.
     """
     taus = scheme.taus
     nb = len(taus)
     if nb == 0:
-        return []
-    words = []
+        return np.zeros((0, k), dtype=int)
     mintau = int(taus.min())
-    first = range(nb) if start is None else (start,)
-
-    def rec(prefix, used):
+    words = np.zeros((1, 0), dtype=int)
+    used = np.zeros(1, dtype=int)
+    for depth in range(k):
+        if budget is None:
+            room = np.full(len(words), int(taus.max()))
+        else:
+            room = budget - used - (k - depth - 1) * mintau
+        # Each prefix continues with the letters that fit its room, in index
+        # order: row r of `first` lists the letters fitting rooms[r] first.
+        rooms, which = np.unique(room, return_inverse=True)
+        fits = taus <= rooms[:, None]
+        first = np.argsort(~fits, axis=1, kind="stable")
+        counts = fits.sum(1)[which]
+        parent = np.repeat(np.arange(len(words)), counts)
+        pos = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        letter = first[which[parent], pos]
+        words = np.column_stack([words[parent], letter])
+        used = used[parent] + taus[letter]
         if len(words) > max_words:
             raise MemoryError("word enumeration exceeded max_words")
-        depth = len(prefix)
-        if depth == k:
-            words.append(tuple(prefix))
-            return
-        remaining = (k - depth - 1) * mintau
-        for i in (first if depth == 0 else range(nb)):
-            ti = used + int(taus[i])
-            if budget is not None and ti + remaining > budget:
-                continue
-            prefix.append(i)
-            rec(prefix, ti)
-            prefix.pop()
-
-    rec([], 0)
     return words
 
 
-def _branch_symbol_arrays(scheme):
-    return [np.array(b.itinerary, dtype=np.int16) for b in scheme.branches]
-
-
-def _invert_by_symbol(m: IntervalMap, syms, z):
-    out = np.empty_like(z)
-    for b in np.unique(syms):
-        mask = syms == b
-        out[mask] = m.invert(int(b), z[mask])
-    return out
-
-
 def _group_words(scheme, words):
-    """Group words by total symbol length L; yields (row_idx, sym_matrix)."""
-    syms_of = _branch_symbol_arrays(scheme)
+    """Group words by total symbol length L; yields (rows, symbols) with
+    symbols the (len(rows), L) concatenated branch itineraries."""
     taus = scheme.taus
-    totals = np.array([int(sum(taus[i] for i in w)) for w in words], dtype=int)
+    words = np.asarray(words, dtype=int)
+    if words.size == 0:
+        return
+    itin = np.zeros((len(taus), int(taus.max())), dtype=np.int16)
+    for i, b in enumerate(scheme.branches):
+        itin[i, :b.tau] = b.itinerary
+    lens = taus[words]
+    totals = lens.sum(1)
+    live = np.arange(itin.shape[1])
     for L in np.unique(totals):
         rows = np.nonzero(totals == L)[0]
-        sym = np.empty((len(rows), L), dtype=np.int16)
-        for r, wi in enumerate(rows):
-            sym[r] = np.concatenate([syms_of[i] for i in words[wi]])
-        yield rows, sym
+        valid = live < lens[rows][..., None]
+        yield rows, itin[words[rows]][valid].reshape(len(rows), L)
+
+
+def _pull_words(scheme, words, points, logs=True):
+    """Pull each row of points back through the matching word (row-wise
+    IntervalMap.pull_back); returns (points, sumlog)."""
+    pts = np.array(points, dtype=float)
+    sumlog = np.zeros_like(pts) if logs else None
+    for rows, sym in _group_words(scheme, words):
+        pts[rows], sl = scheme.map.pull_back(sym, pts[rows], logs)
+        if logs:
+            sumlog[rows] = sl
+    return pts, sumlog
 
 
 def periodic_anchors(scheme: InducingScheme, words):
@@ -112,26 +125,20 @@ def periodic_anchors(scheme: InducingScheme, words):
     n = len(words)
     xf, sl = np.empty(n), np.empty(n)
     lt = np.empty(n, dtype=int)
-    if n == 0:
-        return xf, sl, lt
     mid = 0.5 * (scheme.base_lo + scheme.base_hi)
     probe = scheme.base_lo + 0.25 * scheme.base_width
     for rows, sym in _group_words(scheme, words):
         L = sym.shape[1]
         x = np.full(len(rows), mid)
         for it in range(FIX_ITERS):
-            z = x.copy()
-            for j in range(L - 1, -1, -1):
-                z = _invert_by_symbol(m, sym[:, j], z)
+            z, _ = m.pull_back(sym, x, logs=False)
             if it == 0:
-                zy = np.full(len(rows), probe)
-                for j in range(L - 1, -1, -1):
-                    zy = _invert_by_symbol(m, sym[:, j], zy)
+                zy, _ = m.pull_back(sym, np.full(len(rows), probe), logs=False)
                 shrink = np.abs(z - zy) / abs(mid - probe)
                 if np.any(shrink >= 1.0):
                     bad = int(rows[int(np.argmax(shrink))])
                     raise BranchNotContractingError(
-                        f"word {words[bad]} failed two-point shrinkage"
+                        f"word {np.asarray(words[bad]).tolist()} failed two-point shrinkage"
                     )
             delta = float(np.max(np.abs(z - x)))
             x = z
@@ -142,23 +149,9 @@ def periodic_anchors(scheme: InducingScheme, words):
         # iteration expands the anchor error by |DF| each return; on the
         # Chebyshev base (0, 1) it leaves a 2-word cylinder after one return
         # of 20 steps.
-        logd = np.zeros(len(rows))
-        z = x.copy()
-        for j in range(L - 1, -1, -1):
-            z = _invert_by_symbol(m, sym[:, j], z)
-            d = np.abs(m.df(z))
-            if np.any(d < 1e-300):
-                raise SingularPotentialError("orbit hit zero derivative")
-            logd += np.log(d)
+        _, logd = m.pull_back(sym, x)
         xf[rows], sl[rows], lt[rows] = x, logd, L
     return xf, sl, lt
-
-
-@lru_cache(maxsize=128)
-def _word_data(scheme, k, budget, start):
-    words = enumerate_words(scheme, k, budget, start)
-    xf, sl, lt = periodic_anchors(scheme, words)
-    return words, xf, sl, lt
 
 
 def count_words(scheme, k, budget):
@@ -173,46 +166,6 @@ def count_words(scheme, k, budget):
     return int(round(ways.sum()))
 
 
-def _pullback_samples(scheme, words, fracs):
-    """Pull base sample points back through each word.
-
-    Returns (points, total_sumlog, first_step_sumlog, total_tau) as
-    (n_words, n_fracs) arrays; first_step_sumlog covers only the word's
-    first branch (for one-step potential oscillation).
-    """
-    m = scheme.map
-    n, F = len(words), len(fracs)
-    pts = np.empty((n, F))
-    sl_tot = np.empty((n, F))
-    sl_first = np.empty((n, F))
-    lt = np.empty(n, dtype=int)
-    base = scheme.base_lo + np.asarray(fracs) * scheme.base_width
-    tau1 = np.array([scheme.taus[w[0]] for w in words], dtype=int)
-    for rows, sym in _group_words(scheme, words):
-        L = sym.shape[1]
-        z = np.tile(base, (len(rows), 1))
-        logd = np.zeros_like(z)
-        for j in range(L - 1, -1, -1):
-            for b in np.unique(sym[:, j]):
-                mask = sym[:, j] == b
-                z[mask] = m.invert(int(b), z[mask])
-            logd += np.log(np.maximum(np.abs(m.df(z)), 1e-300))
-        pts[rows] = z
-        sl_tot[rows] = logd
-        lt[rows] = L
-        # forward pass for the first-branch share, masked per row
-        t1 = tau1[rows]
-        cur = z.copy()
-        acc = np.zeros_like(z)
-        for step in range(int(t1.max())):
-            active = step < t1
-            d = np.log(np.maximum(np.abs(m.df(cur)), 1e-300))
-            acc[active] += d[active]
-            cur = np.asarray(m.f(cur))
-        sl_first[rows] = acc
-    return pts, sl_tot, sl_first, lt
-
-
 def forward_sumlog(m: IntervalMap, x, steps):
     """Sum of log|Df| along the first `steps` iterates (vectorised)."""
     z = np.asarray(x, dtype=float).copy()
@@ -224,20 +177,6 @@ def forward_sumlog(m: IntervalMap, x, steps):
         s += np.log(d)
         z = np.asarray(m.f(z))
     return s, z
-
-
-@lru_cache(maxsize=64)
-def _branch_orbit_data(scheme):
-    """(x_fix, sumlog_fix, sumlog_mid) for the single-branch words."""
-    words = [(i,) for i in range(len(scheme.branches))]
-    xf, slf, _ = periodic_anchors(scheme, words)
-    mids = np.array([b.midpoint for b in scheme.branches])
-    slm = np.empty(len(mids))
-    taus = scheme.taus
-    for tval in np.unique(taus):
-        rows = taus == tval
-        slm[rows], _ = forward_sumlog(scheme.map, mids[rows], int(tval))
-    return xf, slf, slm
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +216,20 @@ class InducedPotential:
         return self.phi_mid - self.s * self.tau
 
 
-def induced_potential(scheme: InducingScheme, t, s) -> InducedPotential:
-    """Branch potential data at midpoints and branch fixed points."""
+def induced_potential(op, t, s) -> InducedPotential:
+    """Branch potential data at midpoints and branch fixed points, from the
+    orbit data held by the scheme's SpectralOperator `op`."""
+    scheme = op.scheme
     bad = sum(1 for b in scheme.branches if not b.extension_ok)
     if bad:
         warnings.warn(f"{bad} branches lack the extension margin", UserWarning)
-    xf, slf, slm = _branch_orbit_data(scheme)
+    xf, slf, slm = op.orbit
     return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf, slm)
 
 
 # ---------------------------------------------------------------------------
 # Variations and distortion constants
 # ---------------------------------------------------------------------------
-
-def _alphabet_words(alphabet, k):
-    """All k-tuples over the given branch alphabet, lexicographic."""
-    out = [()]
-    for _ in range(k):
-        out = [w + (int(i),) for w in out for i in alphabet]
-    return out
-
 
 @dataclass(frozen=True)
 class VariationProfile:
@@ -307,15 +240,13 @@ class VariationProfile:
     B: np.ndarray
     tail_rate: float
 
-    @property
-    def summable(self):
-        return self.tail_rate < 1.0
-
 
 def variation_profile(scheme, pot: InducedPotential, k_max,
                       words_per_k=1500) -> VariationProfile:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    taus = scheme.taus
+    base = scheme.base_lo + np.array([1 / 6, 1 / 2, 5 / 6]) * scheme.base_width
     # Sample words over the heaviest branches so deep levels stay tractable:
     # alphabet size drops with depth, keeping ~words_per_k words per level.
     rank = np.argsort(-np.exp(pot.psi_fix), kind="stable")
@@ -323,14 +254,16 @@ def variation_profile(scheme, pot: InducedPotential, k_max,
     for k in range(1, k_max + 1):
         nb = max(2, int(round(words_per_k ** (1.0 / k))))
         alphabet = np.sort(rank[:nb])
-        words = [
-            w for w in _alphabet_words(alphabet, k)
-            if sum(int(scheme.taus[i]) for i in w) <= scheme.n_max + 2 * k
-        ]
-        if not words:
+        words = alphabet[np.indices((len(alphabet),) * k).reshape(k, -1).T]
+        words = words[taus[words].sum(1) <= scheme.n_max + 2 * k]
+        if not len(words):
             Vs.append(0.0)
             continue
-        _, _, sl_first, _ = _pullback_samples(scheme, words, (1 / 6, 1 / 2, 5 / 6))
+        # The first branch's share of the sum: pull the samples back through
+        # the word's tail, then through its first branch.
+        tail, _ = _pull_words(scheme, words[:, 1:],
+                              np.tile(base, (len(words), 1)), logs=False)
+        _, sl_first = _pull_words(scheme, words[:, :1], tail)
         psi = -pot.t * sl_first  # the -s*tau1 shift is constant per word
         Vs.append(float((psi.max(axis=1) - psi.min(axis=1)).max()))
     V = np.array(Vs)
@@ -351,18 +284,21 @@ def variation_profile(scheme, pot: InducedPotential, k_max,
 # Partition sums and Gurevich pressure
 # ---------------------------------------------------------------------------
 
-def zk_sum(scheme, pot: InducedPotential, k, N, start=None):
+def zk_sum(op, pot: InducedPotential, k, N, start=None):
     """Z_k = sum over k-periodic words (total time <= N) of exp(Psi_k).
 
     Each word cylinder contains a unique periodic point of the composed
     inverse branch; Psi_k is evaluated there.  `start` restricts the sum to
     words beginning in one 1-cylinder (the paper's convention); the default
-    sums over all of them.
+    sums over all of them.  Word data comes from the operator's memo.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, xf, sl, lt = _word_data(scheme, k, N, start)
-    if len(xf) == 0:
+    words, _, sl, lt = op.word_data(k, N)
+    if start is not None:
+        keep = words[:, 0] == start
+        sl, lt = sl[keep], lt[keep]
+    if len(sl) == 0:
         return 0.0
     return float(np.exp(-pot.t * sl - pot.s * lt).sum())
 
@@ -376,7 +312,7 @@ class PressureEstimate:
     cylinder_spread: float  # gap between two start-cylinder restrictions
 
 
-def gurevich_pressure(scheme, pot: InducedPotential, k_max, N,
+def gurevich_pressure(op, pot: InducedPotential, k_max, N,
                       return_detail=False):
     """Growth-rate estimate of (1/k) log Z_k for k <= k_max.
 
@@ -389,7 +325,7 @@ def gurevich_pressure(scheme, pot: InducedPotential, k_max, N,
         raise ValueError("k_max must be >= 2")
     logz = []
     for k in range(1, k_max + 1):
-        z = zk_sum(scheme, pot, k, N)
+        z = zk_sum(op, pot, k, N)
         if z <= 0.0:
             raise ValueError(f"empty word set at depth {k} under budget {N}")
         logz.append(math.log(z))
@@ -402,11 +338,11 @@ def gurevich_pressure(scheme, pot: InducedPotential, k_max, N,
             UnstablePressureWarning,
         )
     spread = 0.0
-    if len(scheme.branches) >= 2:
+    if len(op.scheme.branches) >= 2:
         alt = []
         for i in (0, 1):
-            z1 = zk_sum(scheme, pot, 1, N, start=i)
-            z2 = zk_sum(scheme, pot, 2, N, start=i)
+            z1 = zk_sum(op, pot, 1, N, start=i)
+            z2 = zk_sum(op, pot, 2, N, start=i)
             if z1 > 0 and z2 > 0:
                 alt.append(math.log(z2) - math.log(z1))
         if len(alt) == 2:
@@ -426,33 +362,48 @@ class SpectralOperator:
     linear interpolation of g.
 
     Branch pullbacks and orbit sums are (t, s)-independent; one assembly
-    serves the whole potential family.
+    serves the whole potential family.  The caller builds one operator per
+    scheme and passes it to pressure_estimate, solve_pressure and
+    gibbs_state; it also holds the scheme's branch anchors (`orbit`) and a
+    memo of word data (`word_data`), and is freed with the caller's
+    reference.  No (t, s) state is kept between calls.
     """
 
     def __init__(self, scheme: InducingScheme, grid=256):
         self.scheme = scheme
-        m = scheme.map
         G = int(grid)
         a0, a1 = scheme.base_lo, scheme.base_hi
         h = (a1 - a0) / G
         self.xs = a0 + (np.arange(G) + 0.5) * h
         B = len(scheme.branches)
-        Y = np.empty((B, G))
-        SL = np.empty((B, G))
-        for i, b in enumerate(scheme.branches):
-            z = self.xs.copy()
-            logd = np.zeros(G)
-            for sym in b.itinerary[::-1]:
-                z = m.invert(int(sym), z)
-                logd += np.log(np.maximum(np.abs(m.df(z)), 1e-300))
-            Y[i] = z
-            SL[i] = logd
+        Y, self.sumlog = _pull_words(scheme, np.arange(B)[:, None],
+                                     np.tile(self.xs, (B, 1)))
         self.tau = scheme.taus.astype(float)
-        self.sumlog = SL
         pos = (Y - self.xs[0]) / h
         self.idx = np.clip(np.floor(pos).astype(int), 0, G - 2)
         self.frac = np.clip(pos - self.idx, 0.0, 1.0)
-        self._g_warm = np.ones(G)
+        self._words = {}
+
+    @cached_property
+    def orbit(self):
+        """(x_fix, sumlog_fix, sumlog_mid) for the single-branch words."""
+        scheme = self.scheme
+        xf, slf, _ = periodic_anchors(scheme, np.arange(len(scheme.branches))[:, None])
+        mids = np.array([b.midpoint for b in scheme.branches])
+        slm = np.empty(len(mids))
+        taus = scheme.taus
+        for tval in np.unique(taus):
+            rows = taus == tval
+            slm[rows], _ = forward_sumlog(scheme.map, mids[rows], int(tval))
+        return xf, slf, slm
+
+    def word_data(self, k, budget):
+        """(words, x_fix, sumlog, total_tau) of the k-words with total time
+        <= budget, computed once per (k, budget)."""
+        if (k, budget) not in self._words:
+            words = enumerate_words(self.scheme, k, budget)
+            self._words[k, budget] = (words, *periodic_anchors(self.scheme, words))
+        return self._words[k, budget]
 
     def weights(self, t, s):
         return np.exp(-t * self.sumlog - s * self.tau[:, None])
@@ -489,11 +440,14 @@ class SpectralOperator:
             )
         return lam, nu
 
-    def eigen(self, t, s, tol=1e-12, max_iter=3000, warm=True):
-        """Leading eigenvalue and positive eigenfunction by power iteration."""
+    def eigen(self, t, s, tol=1e-12, max_iter=3000, warm=None):
+        """Leading eigenvalue and positive eigenfunction by power iteration.
+
+        Starts from `warm` when given (a caller-owned vector, overwritten
+        with the eigenfunction found), otherwise from g = 1.
+        """
         W = self.weights(t, s)
-        g = self._g_warm if warm else np.ones(len(self.xs))
-        g = np.maximum(g, 1e-12)
+        g = np.maximum(np.ones(len(self.xs)) if warm is None else warm, 1e-12)
         lam = 0.0
         for _ in range(max_iter):
             gn = self.apply(g, W)
@@ -509,7 +463,8 @@ class SpectralOperator:
             raise TransferOperatorDivergedError(
                 f"power iteration not converged after {max_iter} steps"
             )
-        self._g_warm = g
+        if warm is not None:
+            warm[:] = g
         return lam, g
 
     def interp(self, x, g):
@@ -522,53 +477,51 @@ class SpectralOperator:
         return g[idx] * (1.0 - frac) + g[idx + 1] * frac
 
 
-@lru_cache(maxsize=32)
-def _spectral(scheme, grid):
-    return SpectralOperator(scheme, grid)
-
-
 # ---------------------------------------------------------------------------
 # Pressure equation
 # ---------------------------------------------------------------------------
 
-def pressure_estimate(scheme, t, s, estimator="spectral", grid=256,
-                      word_cap=500_000):
-    """P_G(Phi - s tau) under the chosen estimator.
+def pressure_estimate(op, t, s, estimator="spectral", word_cap=500_000,
+                      warm=None):
+    """P_G(Phi - s tau) under the chosen estimator, on the scheme of `op`.
 
     spectral: log of the leading transfer-operator eigenvalue (default;
-    bias limited to grid interpolation and branch truncation).  zk: Cauchy
-    difference of complete Z_k ladders (small schemes).  factorized: log of
-    the branch-weight sum (exact when variations vanish, e.g. tents).
+    bias limited to grid interpolation and branch truncation); `warm` is
+    passed to SpectralOperator.eigen.  zk: Cauchy difference of complete
+    Z_k ladders (small schemes).  factorized: log of the branch-weight sum
+    (exact when variations vanish, e.g. tents).
     """
     if estimator == "spectral":
-        op = _spectral(scheme, grid)
-        lam, _ = op.eigen(t, s)
+        lam, _ = op.eigen(t, s, warm=warm)
         return math.log(lam)
-    pot = induced_potential(scheme, t, s)
+    pot = induced_potential(op, t, s)
     if estimator == "factorized":
         return math.log(float(np.exp(pot.psi_fix).sum()))
     if estimator == "zk":
-        B = max(len(scheme.branches), 2)
+        B = max(len(op.scheme.branches), 2)
         k = 2
         while B ** (k + 1) <= word_cap and k < 5:
             k += 1
-        z1 = zk_sum(scheme, pot, k - 1, None)
-        z2 = zk_sum(scheme, pot, k, None)
+        z1 = zk_sum(op, pot, k - 1, None)
+        z2 = zk_sum(op, pot, k, None)
         return math.log(z2) - math.log(z1)
     raise ValueError(f"unknown estimator '{estimator}'")
 
 
-def solve_pressure(scheme, t, bracket=(-5.0, 5.0), tol=1e-4,
-                   estimator="spectral", grid=256):
+def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4,
+                   estimator="spectral"):
     """Root of s -> P_G(Phi - s tau) by bisection.
 
     The map is strictly decreasing in s because tau >= 1; bisection inside
     the bracket is unconditionally safe.  Returns s* with |P_G(s*)| < tol.
+    Each power iteration starts from the previous one's eigenfunction; the
+    first starts from g = 1.
     """
     lo, hi = bracket
+    warm = np.ones(len(op.xs))
 
     def g(s):
-        return pressure_estimate(scheme, t, s, estimator=estimator, grid=grid)
+        return pressure_estimate(op, t, s, estimator=estimator, warm=warm)
 
     glo, ghi = g(lo), g(hi)
     if not (glo > 0.0 > ghi):
@@ -609,7 +562,6 @@ class GibbsState:
     scheme: InducingScheme
     t: float
     pressure: float            # P(phi_t): the root s*
-    gurevich_residual: float   # P_G of the induced potential at s*
     log_lambda: float          # eigenvalue fold-in: Psi_eff = Psi - log(lambda)
     rho_grid_x: np.ndarray = field(repr=False)
     rho_grid: np.ndarray = field(repr=False)
@@ -619,8 +571,9 @@ class GibbsState:
     branch_rho: np.ndarray = field(repr=False)
     x_fix: np.ndarray = field(repr=False)
     sumlog_fix: np.ndarray = field(repr=False)
-    cylinder_weights: dict = field(repr=False)  # word -> anchored conformal mass
-    mu_weights: dict = field(repr=False)        # word -> anchored invariant mass
+    words: tuple = field(repr=False)            # (n_k, k) word arrays, k = 1, 2, ...
+    cylinder_weights: np.ndarray = field(repr=False)  # anchored conformal masses
+    mu_weights: np.ndarray = field(repr=False)        # anchored invariant masses
     weight_depth: int = 1
     weight_sums: tuple = ()
     gibbs_constant: float = 1.0
@@ -646,20 +599,23 @@ class GibbsState:
                 - k * self.log_lambda)
 
 
-def gibbs_state(scheme, t, weight_depth=4, weight_budget=None, grid=256,
+def gibbs_state(op, t, weight_depth=4, weight_budget=None,
                 rho_tol=1e-8, rho_iters=1000, tail_allowance=0.05,
                 variation_kmax=6, estimator="spectral",
                 pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
-    """Pressure root, density, conformal/invariant cylinder weights.
+    """Pressure root, density, conformal/invariant cylinder weights on the
+    scheme of the SpectralOperator `op`.
 
     The density solves L_Psi rho = lambda rho on the base grid, iterating
     from rho = 1 until the successive sup-distance drops below rho_tol;
     lambda is folded into the normalised potential so stored weights satisfy
-    the Gibbs property with zero pressure.
+    the Gibbs property with zero pressure.  The stored words are complete
+    (budget-truncated) word sets, one array per depth, and the weight arrays
+    run over them depth by depth.
     """
-    s_star = solve_pressure(scheme, t, bracket=bracket, tol=pressure_tol,
-                            estimator=estimator, grid=grid)
-    op = _spectral(scheme, grid)
+    scheme = op.scheme
+    s_star = solve_pressure(op, t, bracket=bracket, tol=pressure_tol,
+                            estimator=estimator)
     W = op.weights(t, s_star)
     g = np.ones(len(op.xs))
     lam = 1.0
@@ -683,7 +639,7 @@ def gibbs_state(scheme, t, weight_depth=4, weight_budget=None, grid=256,
     # Normalise rho so that int rho dm = 1 on the grid.
     g = g / float((nu * g).sum())
 
-    xf, slf, _ = _branch_orbit_data(scheme)
+    xf, slf, slm = op.orbit
     taus = scheme.taus
 
     def psi_eff(sumlog, total, k):
@@ -704,44 +660,37 @@ def gibbs_state(scheme, t, weight_depth=4, weight_budget=None, grid=256,
     branch_m_op = branch_m_op / m_norm
 
     budget = weight_budget if weight_budget is not None else scheme.n_max + 8
-    words_by_depth = {1: [(i,) for i in range(len(taus))]}
-    raw_by_depth = {1: (m_raw1, mu_raw1)}
+    words = [np.arange(len(taus))[:, None]]
+    m_raw, mu_raw = [m_raw1], [mu_raw1]
     for k in range(2, weight_depth + 1):
         # Stop at the depth where complete enumeration stops being tractable;
         # stored depths then carry complete (budget-truncated) word sets.
         if count_words(scheme, k, budget) > 300_000:
             break
-        wk, xfk, slk, ltk = _word_data(scheme, k, budget, None)
-        if not wk:
+        wk, xfk, slk, ltk = op.word_data(k, budget)
+        if not len(wk):
             break
         mk = np.exp(psi_eff(slk, ltk.astype(float), k))
-        words_by_depth[k] = wk
-        raw_by_depth[k] = (mk, mk * op.interp(xfk, g))
+        words.append(wk)
+        m_raw.append(mk)
+        mu_raw.append(mk * op.interp(xfk, g))
 
-    depth_sums = {k: float(raw_by_depth[k][0].sum()) for k in raw_by_depth}
-    c_m = 1.0 / max(depth_sums.values())
+    depth_sums = [float(mk.sum()) for mk in m_raw]
+    c_m = 1.0 / max(depth_sums)
     c_mu = 1.0 / float(mu_raw1.sum())
-    cylinder_weights, mu_weights = {}, {}
-    for k, wk in words_by_depth.items():
-        mk, muk = raw_by_depth[k]
-        for w, mv, uv in zip(wk, mk, muk):
-            cylinder_weights[w] = float(mv) * c_m
-            mu_weights[w] = float(uv) * c_mu
 
-    pot = InducedPotential(scheme, float(t), s_star, taus, xf, slf,
-                           _branch_orbit_data(scheme)[2])
+    pot = InducedPotential(scheme, float(t), s_star, taus, xf, slf, slm)
     var = variation_profile(scheme, pot, variation_kmax)
 
     gs = GibbsState(
-        scheme=scheme, t=float(t), pressure=s_star,
-        gurevich_residual=pressure_estimate(scheme, t, s_star,
-                                            estimator=estimator, grid=grid),
-        log_lambda=log_lam, rho_grid_x=op.xs, rho_grid=g, nu_grid=nu,
+        scheme=scheme, t=float(t), pressure=s_star, log_lambda=log_lam,
+        rho_grid_x=op.xs, rho_grid=g, nu_grid=nu,
         branch_mu=branch_mu_op, branch_m=branch_m_op, branch_rho=rho_b,
-        x_fix=xf, sumlog_fix=slf,
-        cylinder_weights=cylinder_weights, mu_weights=mu_weights,
-        weight_depth=max(words_by_depth),
-        weight_sums=tuple(depth_sums[k] * c_m for k in sorted(depth_sums)),
+        x_fix=xf, sumlog_fix=slf, words=tuple(words),
+        cylinder_weights=np.concatenate(m_raw) * c_m,
+        mu_weights=np.concatenate(mu_raw) * c_mu,
+        weight_depth=len(words),
+        weight_sums=tuple(d * c_m for d in depth_sums),
         h_bound=float(var.B[0] ** 4), variation=var,
         tail_allowance=tail_allowance, _op=op, _W=Wn, _GY=GY, _m_norm=m_norm,
     )
@@ -775,7 +724,6 @@ def branch_children(gs: GibbsState, i, cap=200, coverage=0.995):
     caller's remainder.
     """
     scheme = gs.scheme
-    m = scheme.map
     # mu-mass profile of branch i over base cells, rescaled to the stored mass
     c = gs.nu_grid * gs._W[i] * gs._GY[i]
     csum = float(c.sum())
@@ -790,9 +738,8 @@ def branch_children(gs: GibbsState, i, cap=200, coverage=0.995):
     his = np.array([scheme.branches[j].hi for j in sel])
     masses = M(his) - M(los)
     # geometry: the refinement piece is the pullback of X_j through branch i
-    pts = np.concatenate([los, his])
-    for sym in scheme.branches[i].itinerary[::-1]:
-        pts = m.invert(int(sym), pts)
+    pts, _ = scheme.map.pull_back(scheme.branches[i].itinerary,
+                                  np.concatenate([los, his]), logs=False)
     nc = len(sel)
     lo = np.minimum(pts[:nc], pts[nc:])
     hi = np.maximum(pts[:nc], pts[nc:])
@@ -818,12 +765,6 @@ class EquilibriumMeasure:
     def centers(self):
         n = self.bins
         return (np.arange(n) + 0.5) / n
-
-    def integrate(self, g):
-        return float(np.sum(self.masses * g(self.centers)))
-
-    def density_values(self):
-        return self.masses * self.bins
 
 
 def project_measure(scheme, gs: GibbsState, bins=4096, children_cap=None,
@@ -928,11 +869,7 @@ def conformality_report(gs: GibbsState, max_continuations=64):
         M = _cell_cumulative(gs, cm)
         piece_m = M(his) - M(los)
         quad = los[:, None] + np.array([0.25, 0.5, 0.75]) * (his - los)[:, None]
-        pts = quad.ravel()
-        logd = np.zeros_like(pts)
-        for sym in scheme.branches[i].itinerary[::-1]:
-            pts = m.invert(int(sym), pts)
-            logd += np.log(np.maximum(np.abs(m.df(pts)), 1e-300))
+        _, logd = m.pull_back(scheme.branches[i].itinerary, quad.ravel())
         psi1 = gs.psi_eff(logd.reshape(len(conts), 3), float(taus[i]), 1)
         # piece_m is in raw operator units; bring it to branch_m's scale
         rhs = float(np.sum(np.exp(-psi1).mean(axis=1) * piece_m)) / gs._m_norm
@@ -946,13 +883,17 @@ def gibbs_sandwich_report(gs: GibbsState, depth=None):
     Three pulled-back base samples per word plus the periodic anchor.
     """
     depth = depth or gs.weight_depth
-    words = [w for w in gs.mu_weights if len(w) <= depth]
-    pts, sl_tot, _, lt = _pullback_samples(gs.scheme, words, (0.25, 0.5, 0.75))
+    base = gs.scheme.base_lo + np.array([0.25, 0.5, 0.75]) * gs.scheme.base_width
+    taus = gs.taus
     K = 1.0
-    for r, w in enumerate(words):
-        psi = gs.psi_eff(sl_tot[r], float(lt[r]), len(w))
-        ratios = gs.mu_weights[w] / np.exp(psi)
+    first = 0
+    for words in gs.words[:depth]:
+        n, k = words.shape
+        _, sl = _pull_words(gs.scheme, words, np.tile(base, (n, 1)))
+        psi = gs.psi_eff(sl, taus[words].sum(1)[:, None].astype(float), k)
+        ratios = gs.mu_weights[first:first + n, None] / np.exp(psi)
         K = max(K, float(ratios.max()), float(1.0 / ratios.min()))
+        first += n
     return K
 
 
@@ -960,22 +901,32 @@ def tau_mean_consistency(gs: GibbsState):
     """Relative gap between the tau-mean from depth-1 masses and the one
     recomputed through the depth-2 refinement (children + gap remainder
     measured separately, so the gap quantifies refinement truncation)."""
-    d1 = float((gs.branch_mu * gs.taus).sum())
+    taus = gs.taus
+    d1 = float((gs.branch_mu * taus).sum())
     d2 = 0.0
     for i in range(len(gs.scheme.branches)):
         _, _, _, masses = branch_children(gs, i, cap=100_000, coverage=1.0)
-        d2 += float(gs.taus[i]) * float(masses.sum())
+        d2 += float(taus[i]) * float(masses.sum())
     return abs(d2 - d1) / d1
 
 
 def gibbs_to_csv(gs: GibbsState, path):
+    """One row per stored word, words in lexicographic (tuple) order."""
+    depth = len(gs.words)
+    # Pad with -1 so a word sorts before its extensions, as tuples do.
+    padded = np.concatenate([
+        np.pad(w, ((0, 0), (0, depth - w.shape[1])), constant_values=-1)
+        for w in gs.words
+    ])
+    taus = gs.taus
     with open(path, "w") as fh:
         fh.write("word,tau_sum,weight,psi_k\n")
-        for w in sorted(gs.cylinder_weights):
-            tau_sum = int(sum(gs.taus[i] for i in w))
-            mw = gs.cylinder_weights[w]
+        for r in np.lexsort(padded.T[::-1]):
+            w = padded[r][padded[r] >= 0]
+            mw = float(gs.cylinder_weights[r])
             psi = math.log(mw) if mw > 0 else float("-inf")
-            fh.write(f"{'-'.join(map(str, w))},{tau_sum},{fmt12(mw)},{fmt12(psi)}\n")
+            fh.write(f"{'-'.join(map(str, w))},{int(taus[w].sum())},"
+                     f"{fmt12(mw)},{fmt12(psi)}\n")
 
 
 def measure_to_csv(mu: EquilibriumMeasure, path):

@@ -74,31 +74,6 @@ class IntervalHistogram:
         self._h = np.zeros(self.bins)
         self._d = np.zeros(self.bins + 1)
 
-    def add(self, lo, hi, mass):
-        n = self.bins
-        lo = min(max(lo, 0.0), 1.0)
-        hi = min(max(hi, 0.0), 1.0)
-        if hi < lo:
-            lo, hi = hi, lo
-        width = hi - lo
-        if mass == 0.0:
-            return
-        if width <= 1e-15:
-            b = min(int(lo * n), n - 1)
-            self._h[b] += mass
-            return
-        dens = mass / width
-        ilo = min(int(lo * n), n - 1)
-        ihi = min(int(hi * n), n - 1)
-        if ilo == ihi:
-            self._h[ilo] += mass
-            return
-        # Partial end bins, then a constant-density run over interior bins.
-        self._h[ilo] += dens * ((ilo + 1) / n - lo)
-        self._h[ihi] += dens * (hi - ihi / n)
-        if ihi > ilo + 1:
-            self._d[ilo + 1] += dens / n
-            self._d[ihi] -= dens / n
     def add_many(self, lo, hi, mass):
         """Vectorised add of many intervals."""
         n = self.bins

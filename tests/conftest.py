@@ -13,7 +13,7 @@ from thermoform.cylinders import partition
 from thermoform.inducing import build_scheme
 from thermoform.maps import make_map
 from thermoform.stability import run_sweep
-from thermoform.thermo import gibbs_state, project_measure
+from thermoform.thermo import SpectralOperator, gibbs_state, project_measure
 from thermoform.tower import build_tower, transitive_component
 
 
@@ -82,31 +82,41 @@ def tent19_scheme(tent19, tent19_tower):
 
 
 @pytest.fixture(scope="session")
+def tent2_op(tent2_scheme):
+    return SpectralOperator(tent2_scheme)
+
+
+@pytest.fixture(scope="session")
+def cheb_op(cheb_scheme):
+    return SpectralOperator(cheb_scheme)
+
+
+@pytest.fixture(scope="session")
 def gibbs_cache():
-    """(scheme id, t) -> GibbsState, shared across modules."""
+    """(operator id, t) -> GibbsState, shared across modules."""
     return {}
 
 
-def gibbs_for(cache, scheme, t, **kw):
-    key = (id(scheme), t, tuple(sorted(kw.items())))
+def gibbs_for(cache, op, t, **kw):
+    key = (id(op), t, tuple(sorted(kw.items())))
     if key not in cache:
-        cache[key] = gibbs_state(scheme, t, **kw)
+        cache[key] = gibbs_state(op, t, **kw)
     return cache[key]
 
 
 @pytest.fixture(scope="session")
-def tent2_gibbs(tent2_scheme, gibbs_cache):
-    return gibbs_for(gibbs_cache, tent2_scheme, 1.0)
+def tent2_gibbs(tent2_op, gibbs_cache):
+    return gibbs_for(gibbs_cache, tent2_op, 1.0)
 
 
 @pytest.fixture(scope="session")
-def cheb_gibbs(cheb_scheme, gibbs_cache):
-    return gibbs_for(gibbs_cache, cheb_scheme, 1.0)
+def cheb_gibbs(cheb_op, gibbs_cache):
+    return gibbs_for(gibbs_cache, cheb_op, 1.0)
 
 
 @pytest.fixture(scope="session")
-def cheb_gibbs_t09(cheb_scheme, gibbs_cache):
-    return gibbs_for(gibbs_cache, cheb_scheme, 0.9)
+def cheb_gibbs_t09(cheb_op, gibbs_cache):
+    return gibbs_for(gibbs_cache, cheb_op, 0.9)
 
 
 @pytest.fixture(scope="session")

@@ -155,3 +155,28 @@ def test_critical_collision_diagnostic(cheb, tent19):
     assert hits
     # generic tent slope: no collisions at small depth
     assert not critical_orbit_collisions(tent19, 8, tol=1e-9)
+
+
+def test_pull_back_tent2_affine(tent2):
+    # closed-form affine inverse branches: y/2 on branch 0, 1 - y/2 on branch 1
+    word = (0, 1, 1, 0, 1)
+    y = np.linspace(0.05, 0.95, 7)
+    x, sumlog = tent2.pull_back(word, y)
+    want = y
+    for b in reversed(word):
+        want = want / 2.0 if b == 0 else 1.0 - want / 2.0
+    assert np.array_equal(x, want)
+    assert np.array_equal(sumlog, np.full(len(y), len(word) * math.log(2.0)))
+    # one word per row gives what one word at a time gives
+    rows, rows_sumlog = tent2.pull_back(np.array([word, word[::-1]]),
+                                        np.tile(y, (2, 1)))
+    assert np.array_equal(rows[0], x) and np.array_equal(rows_sumlog[0], sumlog)
+    assert np.array_equal(rows[1], tent2.pull_back(word[::-1], y)[0])
+
+
+def test_pull_back_singular(tent2):
+    # y = 1 pulls back through branch 0 onto the corner 0.5, where Df = 0
+    with pytest.raises(SingularPotentialError):
+        tent2.pull_back((0,), 1.0)
+    x, sumlog = tent2.pull_back((0,), 1.0, logs=False)
+    assert x == 0.5 and sumlog is None

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from thermoform.inducing import Branch, InducingScheme
 from thermoform.maps import CriticalPoint, IntervalMap, make_map
 from thermoform.thermo import (
     EquilibriumMeasure,
-    _pullback_samples,
+    SpectralOperator,
     conformality_report,
     count_words,
     enumerate_words,
@@ -50,23 +51,23 @@ def chebyshev_tests(n=8):
 # Induced potential
 # ---------------------------------------------------------------------------
 
-def test_induced_potential_tent2(tent2_scheme):
-    pot = induced_potential(tent2_scheme, 1.0, 0.0)
+def test_induced_potential_tent2(tent2_scheme, tent2_op):
+    pot = induced_potential(tent2_op, 1.0, 0.0)
     taus = tent2_scheme.taus
     assert np.allclose(pot.psi_fix, -taus * LOG2, atol=1e-12)
     assert np.allclose(pot.psi_mid, -taus * LOG2, atol=1e-12)
 
 
-def test_induced_potential_t0(cheb_scheme):
-    pot = induced_potential(cheb_scheme, 0.0, 0.25)
+def test_induced_potential_t0(cheb_scheme, cheb_op):
+    pot = induced_potential(cheb_op, 0.0, 0.25)
     assert np.allclose(pot.phi_fix, 0.0)
     assert np.allclose(pot.psi_fix, -0.25 * cheb_scheme.taus)
 
 
-def test_induced_phi_vs_finite_difference(cheb_scheme):
+def test_induced_phi_vs_finite_difference(cheb_scheme, cheb_op):
     # chain-rule derivative of f^tau against a central difference on the
     # three widest branches (short return times, well-conditioned stencil)
-    pot = induced_potential(cheb_scheme, 1.0, 0.0)
+    pot = induced_potential(cheb_op, 1.0, 0.0)
     m = cheb_scheme.map
     widths = np.array([b.width for b in cheb_scheme.branches])
     for i in np.argsort(-widths)[:3]:
@@ -91,13 +92,11 @@ def test_psi_additive_along_words(cheb_scheme):
     xf, sl, lt = periodic_anchors(cheb_scheme, words)
     yf, _, _ = periodic_anchors(cheb_scheme, [(w1, w0) for w0, w1 in words])
     taus = cheb_scheme.taus
-
-    def frac(p):
-        return (p - cheb_scheme.base_lo) / cheb_scheme.base_width
+    m, branches = cheb_scheme.map, cheb_scheme.branches
 
     for (w0, w1), x, y, total, L in zip(words, xf, yf, sl, lt):
-        px, s0, _, _ = _pullback_samples(cheb_scheme, [(w0,)], [frac(y)])
-        py, s1, _, _ = _pullback_samples(cheb_scheme, [(w1,)], [frac(x)])
+        px, s0 = m.pull_back(branches[w0].itinerary, [y])
+        py, s1 = m.pull_back(branches[w1].itinerary, [x])
         assert px.item() == pytest.approx(x, abs=1e-12)
         assert py.item() == pytest.approx(y, abs=1e-12)
         assert (s0 + s1).item() == pytest.approx(total, abs=1e-9)
@@ -108,15 +107,15 @@ def test_psi_additive_along_words(cheb_scheme):
 # Variations
 # ---------------------------------------------------------------------------
 
-def test_variation_tent2_zero(tent2_scheme):
-    pot = induced_potential(tent2_scheme, 1.0, 0.0)
+def test_variation_tent2_zero(tent2_scheme, tent2_op):
+    pot = induced_potential(tent2_op, 1.0, 0.0)
     var = variation_profile(tent2_scheme, pot, 5)
     assert np.allclose(var.V, 0.0, atol=1e-12)
     assert np.allclose(var.B, 1.0, atol=1e-12)
 
 
-def test_variation_cheb_decay_and_doubling(cheb_scheme):
-    pot = induced_potential(cheb_scheme, 1.0, 0.0)
+def test_variation_cheb_decay_and_doubling(cheb_scheme, cheb_op):
+    pot = induced_potential(cheb_op, 1.0, 0.0)
     var = variation_profile(cheb_scheme, pot, 6)
     assert np.all(var.V >= 0)
     assert var.tail_rate < 1.0
@@ -128,7 +127,7 @@ def test_variation_cheb_decay_and_doubling(cheb_scheme):
     ss = float(np.sum((logv - logv.mean()) ** 2))
     assert 1.0 - float(resid[0]) / ss > 0.9
     # doubling the potential doubles every V_k exactly
-    pot2 = induced_potential(cheb_scheme, 2.0, 0.0)
+    pot2 = induced_potential(cheb_op, 2.0, 0.0)
     var2 = variation_profile(cheb_scheme, pot2, 6)
     assert np.allclose(var2.V, 2.0 * var.V, rtol=1e-12)
 
@@ -145,9 +144,10 @@ def test_zk_single_branch_power():
         (Branch(0.0, 0.25, 1, (0,), True),), 0.5, ((0, 0.0, 1.0),),
         0.0, True, False,
     )
-    pot = induced_potential(scheme, 1.0, 0.0)
+    op = SpectralOperator(scheme)
+    pot = induced_potential(op, 1.0, 0.0)
     for k in (1, 2, 5):
-        assert zk_sum(scheme, pot, k, None) == pytest.approx(2.0 ** -k, rel=1e-12)
+        assert zk_sum(op, pot, k, None) == pytest.approx(2.0 ** -k, rel=1e-12)
 
 
 def test_zk_constant_values_brute_force(tent2, tent2_tower):
@@ -156,10 +156,11 @@ def test_zk_constant_values_brute_force(tent2, tent2_tower):
 
     base = partition(tent2, 1).cylinders[0]
     scheme = build_scheme(tent2, tent2_tower, base, delta=0.1, n_max=4)
-    pot = induced_potential(scheme, 1.0, 0.0)
+    op = SpectralOperator(scheme)
+    pot = induced_potential(op, 1.0, 0.0)
     w = 2.0 ** -scheme.taus.astype(float)
-    assert zk_sum(scheme, pot, 1, None) == pytest.approx(w.sum(), rel=1e-12)
-    assert zk_sum(scheme, pot, 2, None) == pytest.approx(w.sum() ** 2, rel=1e-10)
+    assert zk_sum(op, pot, 1, None) == pytest.approx(w.sum(), rel=1e-12)
+    assert zk_sum(op, pot, 2, None) == pytest.approx(w.sum() ** 2, rel=1e-10)
     # truncated sums against a pure-python composition oracle
     for k, N in ((2, 5), (3, 7)):
         taus = list(scheme.taus)
@@ -176,45 +177,45 @@ def test_zk_constant_values_brute_force(tent2, tent2_tower):
                     stack.append((word + (i,), used + t))
         for word in words:
             total += 2.0 ** -sum(taus[i] for i in word)
-        assert zk_sum(scheme, pot, k, N) == pytest.approx(total, rel=1e-10)
+        assert zk_sum(op, pot, k, N) == pytest.approx(total, rel=1e-10)
 
 
-def test_zk_start_restriction(tent2_scheme):
-    pot = induced_potential(tent2_scheme, 1.0, 0.0)
-    full = zk_sum(tent2_scheme, pot, 2, 12)
-    parts = sum(zk_sum(tent2_scheme, pot, 2, 12, start=i)
+def test_zk_start_restriction(tent2_scheme, tent2_op):
+    pot = induced_potential(tent2_op, 1.0, 0.0)
+    full = zk_sum(tent2_op, pot, 2, 12)
+    parts = sum(zk_sum(tent2_op, pot, 2, 12, start=i)
                 for i in range(len(tent2_scheme.branches)))
     assert parts == pytest.approx(full, rel=1e-12)
 
 
-def test_zk_growth_rate_to_zero(tent2_scheme):
+def test_zk_growth_rate_to_zero(tent2_op):
     # (1/k) log Z_k -> 0 for the full tent at (t, s) = (1, 0)
-    pot = induced_potential(tent2_scheme, 1.0, 0.0)
-    vals = [math.log(zk_sum(tent2_scheme, pot, k, None)) / k for k in (1, 2, 3)]
+    pot = induced_potential(tent2_op, 1.0, 0.0)
+    vals = [math.log(zk_sum(tent2_op, pot, k, None)) / k for k in (1, 2, 3)]
     assert abs(vals[-1]) < 1e-3
     assert abs(vals[-1]) <= abs(vals[0]) + 1e-12
 
 
-def test_gurevich_constant_scheme(tent2_scheme):
+def test_gurevich_constant_scheme(tent2_scheme, tent2_op):
     # t = 0 gives a constant zero potential: pressure log(#branches)
-    pot = induced_potential(tent2_scheme, 0.0, 0.0)
-    est = gurevich_pressure(tent2_scheme, pot, 3, None)
+    pot = induced_potential(tent2_op, 0.0, 0.0)
+    est = gurevich_pressure(tent2_op, pot, 3, None)
     assert est == pytest.approx(math.log(len(tent2_scheme.branches)), abs=1e-9)
 
 
-def test_gurevich_shift_property(tent2_scheme):
+def test_gurevich_shift_property(tent2_op):
     # shifting s by c shifts every per-step weight by -c * tau; with the
     # difference estimator the pressure moves by log-mean accordingly
-    pot0 = induced_potential(tent2_scheme, 1.0, 0.0)
-    est0 = gurevich_pressure(tent2_scheme, pot0, 3, None, return_detail=True)
+    pot0 = induced_potential(tent2_op, 1.0, 0.0)
+    est0 = gurevich_pressure(tent2_op, pot0, 3, None, return_detail=True)
     assert abs(est0.estimate) < 1e-3
     assert est0.cylinder_spread < 1e-6
     assert est0.sup_lower <= est0.estimate + 1e-6
 
 
-def test_gurevich_detail_fields(cheb_scheme):
-    pot = induced_potential(cheb_scheme, 1.0, 0.0)
-    det = gurevich_pressure(cheb_scheme, pot, 4, 24, return_detail=True)
+def test_gurevich_detail_fields(cheb_op):
+    pot = induced_potential(cheb_op, 1.0, 0.0)
+    det = gurevich_pressure(cheb_op, pot, 4, 24, return_detail=True)
     assert len(det.sequence) == 4
     assert det.last == pytest.approx(det.sequence[-1])
     assert det.sup_lower >= max(det.sequence) - 1e-12
@@ -226,47 +227,66 @@ def test_count_words_matches_enumeration(cheb_scheme):
             len(enumerate_words(cheb_scheme, k, budget))
 
 
+def test_enumerate_words_lexicographic(cheb_scheme):
+    # the array enumeration against filtered tuples in lexicographic order
+    taus = cheb_scheme.taus
+    for k, budget in ((2, 12), (3, 15)):
+        want = [w for w in itertools.product(range(len(taus)), repeat=k)
+                if sum(taus[i] for i in w) <= budget]
+        words = enumerate_words(cheb_scheme, k, budget)
+        assert len(want) and words.shape == (len(want), k)
+        assert [tuple(w) for w in words.tolist()] == want
+
+
 # ---------------------------------------------------------------------------
 # Pressure equation
 # ---------------------------------------------------------------------------
 
-def test_pressure_tent2_analytic(tent2_scheme):
+def test_pressure_tent2_analytic(tent2_op):
     for t in (0.8, 1.0, 1.2):
-        p = solve_pressure(tent2_scheme, t)
+        p = solve_pressure(tent2_op, t)
         assert p == pytest.approx((1 - t) * LOG2, abs=1e-3)
 
 
-def test_pressure_entropy_at_t0(tent2_scheme):
-    assert solve_pressure(tent2_scheme, 0.0) == pytest.approx(LOG2, abs=1e-3)
+def test_pressure_entropy_at_t0(tent2_op):
+    assert solve_pressure(tent2_op, 0.0) == pytest.approx(LOG2, abs=1e-3)
 
 
-def test_pressure_cheb_acip(cheb_scheme):
-    assert solve_pressure(cheb_scheme, 1.0) == pytest.approx(0.0, abs=1e-3)
+def test_pressure_cheb_acip(cheb_op):
+    assert solve_pressure(cheb_op, 1.0) == pytest.approx(0.0, abs=1e-3)
 
 
-def test_pressure_estimators_agree(tent2_scheme, cheb_scheme):
+def test_pressure_estimators_agree(tent2_op, cheb_op):
     # factorized is exact for constant slope; zk agrees coarsely on cheb
-    p_spec = solve_pressure(tent2_scheme, 0.9, estimator="spectral")
-    p_fact = solve_pressure(tent2_scheme, 0.9, estimator="factorized")
+    p_spec = solve_pressure(tent2_op, 0.9, estimator="spectral")
+    p_fact = solve_pressure(tent2_op, 0.9, estimator="factorized")
     assert p_spec == pytest.approx(p_fact, abs=1e-6)
-    p_zk = solve_pressure(cheb_scheme, 1.0, estimator="zk")
+    p_zk = solve_pressure(cheb_op, 1.0, estimator="zk")
     assert p_zk == pytest.approx(0.0, abs=5e-2)
 
 
-def test_pressure_monotone_in_t(tent2_scheme, cheb_scheme):
-    for scheme in (tent2_scheme, cheb_scheme):
-        ps = [solve_pressure(scheme, t) for t in (0.8, 0.9, 1.0, 1.1)]
+def test_pressure_monotone_in_t(tent2_op, cheb_op):
+    for op in (tent2_op, cheb_op):
+        ps = [solve_pressure(op, t) for t in (0.8, 0.9, 1.0, 1.1)]
         assert all(b <= a + 1e-9 for a, b in zip(ps, ps[1:]))
 
 
-def test_pressure_strictly_decreasing_in_s(tent2_scheme):
-    vals = [pressure_estimate(tent2_scheme, 1.0, s) for s in (-0.5, 0.0, 0.5)]
+def test_pressure_strictly_decreasing_in_s(tent2_op):
+    vals = [pressure_estimate(tent2_op, 1.0, s) for s in (-0.5, 0.0, 0.5)]
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_pressure_unbracketed(tent2_scheme):
+def test_pressure_independent_of_call_order(cheb_op):
+    # no state survives a call: the same (t, s) gives the same bits after
+    # an estimate at another (t, s)
+    before = pressure_estimate(cheb_op, 1.0, 0.0)
+    pressure_estimate(cheb_op, 0.5, 0.3)
+    assert pressure_estimate(cheb_op, 1.0, 0.0) == before
+
+
+def test_pressure_unbracketed(tent2_op):
     with pytest.raises(PressureUnbracketedError):
-        solve_pressure(tent2_scheme, 1.0, bracket=(3.0, 5.0))
+        solve_pressure(tent2_op, 1.0, bracket=(3.0, 5.0))
 
 
 def test_non_contracting_branch_detected():
@@ -299,9 +319,10 @@ def test_gibbs_tent2_exact(tent2_gibbs, tent2_scheme):
     assert gs.h_bound == pytest.approx(1.0, abs=1e-9)
     taus = tent2_scheme.taus
     # anchored weights of a word equal 2^(-total time)
-    for w, v in gs.mu_weights.items():
-        total = sum(int(taus[i]) for i in w)
-        assert v == pytest.approx(2.0 ** -total, rel=1e-6)
+    totals = np.concatenate([taus[w].sum(1) for w in gs.words])
+    assert len(totals) == len(gs.mu_weights)
+    for total, v in zip(totals, gs.mu_weights):
+        assert v == pytest.approx(2.0 ** -int(total), rel=1e-6)
     assert np.allclose(gs.branch_mu, 2.0 ** -taus.astype(float), atol=1e-8)
 
 
@@ -336,10 +357,10 @@ def test_gibbs_rho_positive_bounded(cheb_gibbs):
     assert osc <= 2 * math.log(gs.variation.B[0]) + 0.1
 
 
-def test_gibbs_diverged_error(cheb_scheme):
+def test_gibbs_diverged_error(cheb_op):
     # cheb's density is non-constant, so one iteration cannot converge
     with pytest.raises(TransferOperatorDivergedError):
-        gibbs_state(cheb_scheme, 1.0, rho_iters=1, rho_tol=1e-300)
+        gibbs_state(cheb_op, 1.0, rho_iters=1, rho_tol=1e-300)
 
 
 # ---------------------------------------------------------------------------
