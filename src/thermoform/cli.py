@@ -8,12 +8,12 @@ import argparse
 import os
 import sys
 
-from .config import ExperimentConfig, load_config
+from .config import gibbs_kwargs, load_config
 from .cylinders import partition, partition_to_csv
 from .density import lyapunov, measure_density
 from .errors import ConfigError, ThermoformError
 from .inducing import build_scheme, choose_base, scheme_to_csv
-from .maps import FAMILY_PARAM, make_map
+from .maps import make_member
 from .stability import report_to_csv, run_sweep
 from .thermo import (
     SpectralOperator, gibbs_state, measure_to_csv, project_measure, solve_pressure,
@@ -22,14 +22,8 @@ from .tower import build_tower, tower_to_dot, transitive_component
 from .util import fmt12
 
 
-def _member(cfg: ExperimentConfig):
-    key = FAMILY_PARAM[cfg["family"]]
-    params = {key: cfg["parameter"]} if key else {}
-    return make_map(cfg["family"], params)
-
-
-def _scheme(cfg: ExperimentConfig):
-    m = _member(cfg)
+def _scheme(cfg):
+    m = make_member(cfg["family"], cfg["parameter"])
     tower = build_tower(m, cfg["height"], cfg["max_domains"])
     transitive_component(tower)
     base = choose_base(m, tower, cfg["base_depth"], delta=cfg["delta"],
@@ -40,7 +34,7 @@ def _scheme(cfg: ExperimentConfig):
 
 
 def cmd_partition(cfg, out):
-    m = _member(cfg)
+    m = make_member(cfg["family"], cfg["parameter"])
     part = partition(m, cfg["base_depth"])
     path = os.path.join(out, "partition.csv")
     partition_to_csv(part, path)
@@ -49,7 +43,7 @@ def cmd_partition(cfg, out):
 
 
 def cmd_tower(cfg, out):
-    m = _member(cfg)
+    m = make_member(cfg["family"], cfg["parameter"])
     tower = build_tower(m, cfg["height"], cfg["max_domains"])
     transitive_component(tower)
     path = os.path.join(out, "tower.dot")
@@ -78,7 +72,7 @@ def cmd_pressure(cfg, out):
         for t in cfg["t_values"]:
             p = solve_pressure(op, t, bracket=(cfg["bracket_lo"],
                                                cfg["bracket_hi"]),
-                               tol=cfg["tol"], estimator=cfg["estimator"])
+                               tol=cfg["tol"])
             print(f"t={fmt12(t)} P={fmt12(p)}")
             fh.write(f"{fmt12(t)},{fmt12(p)}\n")
     return 0
@@ -88,12 +82,7 @@ def cmd_equilibrium(cfg, out):
     m, _, scheme = _scheme(cfg)
     op = SpectralOperator(scheme, cfg["grid"])
     for t in cfg["t_values"]:
-        gs = gibbs_state(op, t, weight_depth=cfg["weight_depth"],
-                         rho_tol=cfg["rho_tol"],
-                         rho_iters=cfg["rho_iters"],
-                         tail_allowance=cfg["tail_allowance"],
-                         variation_kmax=cfg["variation_kmax"],
-                         estimator=cfg["estimator"])
+        gs = gibbs_state(op, t, **gibbs_kwargs(cfg))
         mu = project_measure(scheme, gs, bins=cfg["bins"],
                              split_parts=cfg["split_parts"])
         tag = fmt12(t).replace(".", "p")
@@ -114,12 +103,12 @@ def cmd_equilibrium(cfg, out):
 
 
 def cmd_stability(cfg, out):
-    sweep = cfg.sweep_config()
-    report = run_sweep(sweep)
+    report = run_sweep(cfg)
     path = os.path.join(out, "stability.csv")
     report_to_csv(report, path)
     print(f"stability sweep {report.family} base {fmt12(report.parameter)}: "
-          f"{len(report.rows)} rows -> {path}")
+          f"{len(report.rows)} rows, weight_depth {report.weight_depth} "
+          f"-> {path}")
     for r in report.rows:
         status = r.error if r.error else "ok"
         print(f"  offset={fmt12(r.offset)} t={fmt12(r.t)} "
@@ -175,11 +164,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.out is not None:
-            cfg.values["out_dir"] = args.out
+            cfg["out_dir"] = args.out
         if args.plot:
-            cfg.values["plot"] = True
+            cfg["plot"] = True
         if getattr(args, "threads", None) is not None:
-            cfg.values["threads"] = args.threads
+            cfg["threads"] = args.threads
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

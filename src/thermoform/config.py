@@ -2,7 +2,6 @@
 validation and THERMOFORM_-prefixed environment overrides."""
 
 import configparser
-from dataclasses import dataclass, field
 import os
 
 from .errors import ConfigError
@@ -34,15 +33,12 @@ _SCHEMA = {
         "bracket_lo": (float, -5.0),
         "bracket_hi": (float, 5.0),
         "tol": (float, 1e-4),
-        "estimator": (str, "spectral"),
         "grid": (int, 256),
     },
     "gibbs": {
         "weight_depth": (int, 4),
-        "tail_allowance": (float, 0.05),
         "rho_tol": (float, 1e-8),
         "rho_iters": (int, 1000),
-        "variation_kmax": (int, 6),
         "split_parts": (int, 32),
     },
     "output": {
@@ -50,6 +46,10 @@ _SCHEMA = {
         "threads": (int, 1),
     },
 }
+
+# key -> default, the flat namespace every command and run_sweep read
+DEFAULTS = {key: default for keys in _SCHEMA.values()
+            for key, (_, default) in keys.items()}
 
 
 def _parse_value(kind, raw, where):
@@ -74,44 +74,11 @@ def _parse_value(kind, raw, where):
     raise ConfigError(f"{where}: unknown schema kind {kind}")
 
 
-@dataclass
-class ExperimentConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def sweep_config(self):
-        """Flatten into the mapping run_sweep expects."""
-        v = self.values
-        return {
-            "family": v["family"],
-            "parameter": v["parameter"],
-            "t_values": v["t_values"],
-            "ladder": v["ladder"],
-            "ladder_direction": v["ladder_direction"],
-            "base_depth": v["base_depth"],
-            "delta": v["delta"],
-            "n_max": v["n_max"],
-            "bins": v["bins"],
-            "tower_height": v["height"],
-            "pressure_grid": v["grid"],
-            "split_parts": v["split_parts"],
-            "tau_cap": v["tau_cap"],
-            "weight_depth": min(v["weight_depth"], 2),
-            "variation_kmax": min(v["variation_kmax"], 4),
-            "require_boundary": v["require_boundary"],
-            "threads": v["threads"],
-        }
-
-
-def load_config(path, env=None) -> ExperimentConfig:
+def load_config(path, env=None) -> dict:
     """Parse and validate a config file; env vars override file values.
 
-    Unknown sections or keys are errors naming the allowed set; enviroment
+    Returns the flat dict of resolved values, every schema key present.
+    Unknown sections or keys are errors naming the allowed set; environment
     overrides use THERMOFORM_<KEY> with the flat key name uppercased.
     """
     if not os.path.exists(path):
@@ -122,9 +89,6 @@ def load_config(path, env=None) -> ExperimentConfig:
     except configparser.Error as e:
         raise ConfigError(f"cannot parse {path}: {e}") from e
     values = {}
-    for section, keys in _SCHEMA.items():
-        for key, (kind, default) in keys.items():
-            values[key] = default
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(
@@ -144,8 +108,31 @@ def load_config(path, env=None) -> ExperimentConfig:
             var = ENV_PREFIX + key.upper()
             if var in env:
                 values[key] = _parse_value(kind, env[var], var)
-    _validate(values)
-    return ExperimentConfig(values)
+    return resolve(values)
+
+
+def resolve(values) -> dict:
+    """Merge a flat key -> value mapping onto DEFAULTS and validate it.
+
+    Keys the schema does not define are errors, not ignored.
+    """
+    unknown = sorted(set(values) - set(DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}; allowed: {sorted(DEFAULTS)}")
+    v = dict(DEFAULTS, **values)
+    _validate(v)
+    return v
+
+
+def gibbs_kwargs(v) -> dict:
+    """gibbs_state's keyword arguments from resolved config values."""
+    return {
+        "weight_depth": v["weight_depth"],
+        "rho_tol": v["rho_tol"],
+        "rho_iters": v["rho_iters"],
+        "pressure_tol": v["tol"],
+        "bracket": (v["bracket_lo"], v["bracket_hi"]),
+    }
 
 
 def _validate(v):
@@ -155,8 +142,8 @@ def _validate(v):
         raise ConfigError(
             f"unknown family '{v['family']}'; registry: {sorted(FAMILIES)}"
         )
-    for key in ("delta", "tol", "rho_tol", "tail_allowance"):
-        if key in v and v[key] is not None and v[key] <= 0:
+    for key in ("delta", "tol", "rho_tol"):
+        if v[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     ladder = v["ladder"]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):

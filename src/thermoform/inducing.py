@@ -117,15 +117,8 @@ def _extension_ok(m: IntervalMap, word, ext_interval, tol=1e-12):
     return True
 
 
-def build_scheme(
-    m: IntervalMap,
-    tower: HofbauerTower,
-    base,
-    delta=0.1,
-    n_max=25,
-    piece_budget=PIECE_BUDGET,
-    coverage_floor=COVERAGE_FLOOR,
-) -> InducingScheme:
+def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta=0.1,
+                 n_max=25) -> InducingScheme:
     """Enumerate the first-return branches to the fattened-base target set.
 
     `base` is a Cylinder (or (lo, hi, itinerary) triple).  Each emitted
@@ -187,7 +180,7 @@ def build_scheme(
                                 nxt.append((glo, ghi, ilo, ihi, nword))
                 else:
                     nxt.append((nlo, nhi, ilo, ihi, nword))
-        if len(nxt) > piece_budget:
+        if len(nxt) > PIECE_BUDGET:
             raise SchemeTooLargeError(
                 f"{len(nxt)} live pieces at time {step}; lower n_max or deepen the base"
             )
@@ -195,9 +188,9 @@ def build_scheme(
     branches.sort(key=lambda b: (b.lo, b.tau))
     width = a1 - a0
     coverage = sum(b.width for b in branches) / width if width > 0 else 0.0
-    if coverage < coverage_floor:
+    if coverage < COVERAGE_FLOOR:
         warnings.warn(
-            f"scheme coverage {coverage:.4f} below floor {coverage_floor}",
+            f"scheme coverage {coverage:.4f} below floor {COVERAGE_FLOOR}",
             LowCoverageWarning,
         )
     boundary_ok = _boundary_condition(m, (a0, a1), len(base_itin))

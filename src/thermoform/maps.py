@@ -385,3 +385,9 @@ def make_map(family, params=None, validate=True):
     if validate:
         validate_map(m)
     return m
+
+
+def make_member(family, parameter):
+    """The family member at its scalar parameter (FAMILY_PARAM names it)."""
+    key = FAMILY_PARAM.get(family)
+    return make_map(family, {key: parameter} if key else {})

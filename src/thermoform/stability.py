@@ -4,7 +4,10 @@ pressure curves, tail fits, matched-cylinder mass.
 Each ladder rung runs the full pipeline (partition -> tower -> scheme ->
 Gibbs state -> projection) for a perturbed parameter and is compared
 against the base map.  Rungs are independent; failures are annotated per
-rung and never silently dropped.
+rung and never silently dropped.  run_sweep reads the config schema's flat
+keys, every stage with the same settings for every map; only the Gibbs
+word depth is capped (SWEEP_WEIGHT_DEPTH), and the variation depth is the
+fixed SWEEP_VARIATION_KMAX.
 """
 
 from dataclasses import dataclass, field
@@ -12,10 +15,11 @@ import math
 
 import numpy as np
 
+from .config import gibbs_kwargs, resolve
 from .cylinders import partition
 from .errors import TailUnderresolvedError, IncomparableSchemesError, ThermoformError
 from .inducing import build_scheme, choose_base
-from .maps import FAMILY_PARAM, c2_distance, make_map
+from .maps import c2_distance, make_member
 from .thermo import (
     EquilibriumMeasure, GibbsState, SpectralOperator, gibbs_state, project_measure,
 )
@@ -151,25 +155,19 @@ def cylinder_mass_mismatch(scheme_a, scheme_b, gs_b: GibbsState, tau_cap):
 # The sweep harness
 # ---------------------------------------------------------------------------
 
-SWEEP_DEFAULTS = {
-    "t_values": (1.0,),
-    "ladder": (0.05, 0.02, 0.01, 0.005),
-    "ladder_direction": 1.0,
-    "base_depth": 2,
-    "delta": 0.1,
-    "n_max": 20,
-    "bins": 4096,
-    "tower_height": 8,
-    "pressure_grid": 256,
-    "split_parts": 8,
-    "tau_cap": 8,
-    "weight_depth": 1,
-    "variation_kmax": 4,
-    "require_boundary": False,
-    "c2_grid": 1000,
-    "dictionary_size": 8,
-    "threads": 1,
-}
+C2_GRID = 1000          # sample points of the C^2 distance between maps
+DICTIONARY_SIZE = 8     # Chebyshev observables of the weak* distance
+
+# Bounds on the Gibbs state of every sweep member, which bound the work of a
+# sweep's one state per (member, t).  The stored word depth changes only the
+# gibbs_k column.  Without the cap, the logistic rung a = 3.995 (342
+# branches, n_max 20) would store depth 3: its 270,234 depth-3 words under
+# the budget n_max + 8 are below thermo.WEIGHT_WORD_LIMIT.  The default tent
+# ladder above s = 1.9 has 335k-883k and stops at depth 2 anyway.  The
+# stability command prints the effective depth.  The variation depth changes
+# no column, so it is fixed rather than read from the config.
+SWEEP_WEIGHT_DEPTH = 2
+SWEEP_VARIATION_KMAX = 4
 
 
 @dataclass
@@ -201,19 +199,15 @@ class StabilityReport:
     base_itinerary: tuple
     t_values: tuple
     ladder: tuple
+    weight_depth: int       # of the Gibbs states, after the sweep cap
     rows: list = field(default_factory=list)
     base_pressure: dict = field(default_factory=dict)  # t -> P at the base map
 
 
-def _make_member(family, parameter):
-    key = FAMILY_PARAM[family]
-    return make_map(family, {key: parameter} if key else {})
-
-
 def _pipeline_state(family, parameter, base_itin, cfg):
     """partition -> tower -> scheme for one family member."""
-    m = _make_member(family, parameter)
-    tw = build_tower(m, cfg["tower_height"])
+    m = make_member(family, parameter)
+    tw = build_tower(m, cfg["height"], cfg["max_domains"])
     transitive_component(tw)
     part = partition(m, cfg["base_depth"])
     cands = [c for c in part.cylinders if c.itinerary == base_itin]
@@ -225,12 +219,8 @@ def _pipeline_state(family, parameter, base_itin, cfg):
     return m, scheme
 
 
-def _equilibrium(op, t, cfg):
-    gs = gibbs_state(
-        op, t,
-        weight_depth=cfg["weight_depth"],
-        variation_kmax=cfg["variation_kmax"],
-    )
+def _equilibrium(op, t, gibbs, cfg):
+    gs = gibbs_state(op, t, **gibbs)
     mu = project_measure(op.scheme, gs, bins=cfg["bins"],
                          split_parts=cfg["split_parts"])
     return gs, mu
@@ -239,21 +229,25 @@ def _equilibrium(op, t, cfg):
 def run_sweep(config) -> StabilityReport:
     """Execute the stability experiment described by the config mapping.
 
-    Keys: family, parameter, plus SWEEP_DEFAULTS overrides.  Deterministic
-    given the config; per-rung errors are annotated, never dropped.
+    The keys are the flat names of the config schema (config.DEFAULTS):
+    family and parameter, plus any others to override; unknown keys raise
+    ConfigError.  The Gibbs states use weight_depth capped at
+    SWEEP_WEIGHT_DEPTH and variation depth SWEEP_VARIATION_KMAX.
+    Deterministic given the config; per-rung errors are annotated, never
+    dropped.
     """
-    cfg = dict(SWEEP_DEFAULTS)
-    cfg.update(config)
+    cfg = resolve(config)
     family = cfg["family"]
     parameter = float(cfg["parameter"])
     ladder = tuple(float(x) for x in cfg["ladder"])
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder offsets must be strictly decreasing")
     t_values = tuple(float(t) for t in cfg["t_values"])
-    dictionary = chebyshev_dictionary(cfg["dictionary_size"])
+    dictionary = chebyshev_dictionary(DICTIONARY_SIZE)
+    gibbs = gibbs_kwargs(cfg)
+    gibbs["weight_depth"] = min(gibbs["weight_depth"], SWEEP_WEIGHT_DEPTH)
+    gibbs["variation_kmax"] = SWEEP_VARIATION_KMAX
 
-    base_map = _make_member(family, parameter)
-    base_tower = build_tower(base_map, cfg["tower_height"])
+    base_map = make_member(family, parameter)
+    base_tower = build_tower(base_map, cfg["height"], cfg["max_domains"])
     transitive_component(base_tower)
     base_cyl = choose_base(base_map, base_tower, cfg["base_depth"],
                            delta=cfg["delta"],
@@ -261,10 +255,11 @@ def run_sweep(config) -> StabilityReport:
     base_itin = base_cyl.itinerary
     base_scheme = build_scheme(base_map, base_tower, base_cyl,
                                delta=cfg["delta"], n_max=cfg["n_max"])
-    base_op = SpectralOperator(base_scheme, cfg["pressure_grid"])
-    base_states = {t: _equilibrium(base_op, t, cfg) for t in t_values}
+    base_op = SpectralOperator(base_scheme, cfg["grid"])
+    base_states = {t: _equilibrium(base_op, t, gibbs, cfg) for t in t_values}
 
-    report = StabilityReport(family, parameter, base_itin, t_values, ladder)
+    report = StabilityReport(family, parameter, base_itin, t_values, ladder,
+                             gibbs["weight_depth"])
     report.base_pressure = {t: base_states[t][0].pressure for t in t_values}
 
     tasks = []
@@ -277,14 +272,14 @@ def run_sweep(config) -> StabilityReport:
         try:
             rung_map, rung_scheme = _pipeline_state(family, rung_param,
                                                     base_itin, cfg)
-            c2 = c2_distance(rung_map, base_map, cfg["c2_grid"])
+            c2 = c2_distance(rung_map, base_map, C2_GRID)
         except ThermoformError as e:
             for t in t_values:
                 rows.append(RungResult(off, rung_param, t,
                                        error=f"{type(e).__name__}: {e}"))
             return rows
         try:
-            rung_op = SpectralOperator(rung_scheme, cfg["pressure_grid"])
+            rung_op = SpectralOperator(rung_scheme, cfg["grid"])
         except ThermoformError as e:
             return [RungResult(off, rung_param, t, c2=c2,
                                error=f"{type(e).__name__}: {e}")
@@ -292,7 +287,7 @@ def run_sweep(config) -> StabilityReport:
         for t in t_values:
             row = RungResult(off, rung_param, t, c2=c2)
             try:
-                gs, mu = _equilibrium(rung_op, t, cfg)
+                gs, mu = _equilibrium(rung_op, t, gibbs, cfg)
                 base_gs, base_mu = base_states[t]
                 row.pressure = gs.pressure
                 row.delta_p = abs(gs.pressure - base_gs.pressure)
@@ -313,7 +308,7 @@ def run_sweep(config) -> StabilityReport:
             rows.append(row)
         return rows
 
-    threads = int(cfg.get("threads", 1))
+    threads = int(cfg["threads"])
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -345,8 +340,8 @@ REPORT_COLUMNS = (
 )
 
 
-def report_to_csv(report: StabilityReport, path, dictionary_size=8):
-    ws_cols = [f"ws_T{j}" for j in range(dictionary_size)]
+def report_to_csv(report: StabilityReport, path):
+    ws_cols = [f"ws_T{j}" for j in range(DICTIONARY_SIZE)]
     with open(path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS + tuple(ws_cols)) + "\n")
         for r in report.rows:
@@ -360,5 +355,5 @@ def report_to_csv(report: StabilityReport, path, dictionary_size=8):
                 fmt12(r.coverage), str(r.branches), r.error,
             ]
             ws = [fmt12(v) for v in r.ws_vector]
-            ws += [""] * (dictionary_size - len(ws))
+            ws += [""] * (DICTIONARY_SIZE - len(ws))
             fh.write(",".join(str(v) for v in vals + ws) + "\n")

@@ -36,14 +36,20 @@ from .util import IntervalHistogram, fmt12
 
 FIX_TOL = 1e-15
 FIX_ITERS = 200
-WORD_CAP = 2_000_000
+WORD_CAP = 2_000_000            # enumerate_words refuses more words
+VARIATION_WORDS = 1500          # words sampled per depth by variation_profile
+CONFORMAL_CONTINUATIONS = 64    # continuations checked by conformality_report
+# gibbs_state stores the words of total time <= n_max + WEIGHT_SLACK, depth by
+# depth, up to the first depth with more than WEIGHT_WORD_LIMIT of them
+WEIGHT_SLACK = 8
+WEIGHT_WORD_LIMIT = 300_000
 
 
 # ---------------------------------------------------------------------------
 # Word enumeration and periodic anchors
 # ---------------------------------------------------------------------------
 
-def enumerate_words(scheme: InducingScheme, k, budget=None, max_words=WORD_CAP):
+def enumerate_words(scheme: InducingScheme, k, budget=None):
     """All k-words of branch indices with total inducing time <= budget.
 
     Returns an (n, k) int array, lexicographic in branch indices (branches
@@ -73,8 +79,8 @@ def enumerate_words(scheme: InducingScheme, k, budget=None, max_words=WORD_CAP):
         letter = first[which[parent], pos]
         words = np.column_stack([words[parent], letter])
         used = used[parent] + taus[letter]
-        if len(words) > max_words:
-            raise MemoryError("word enumeration exceeded max_words")
+        if len(words) > WORD_CAP:
+            raise MemoryError("word enumeration exceeded WORD_CAP")
     return words
 
 
@@ -241,18 +247,17 @@ class VariationProfile:
     tail_rate: float
 
 
-def variation_profile(scheme, pot: InducedPotential, k_max,
-                      words_per_k=1500) -> VariationProfile:
+def variation_profile(scheme, pot: InducedPotential, k_max) -> VariationProfile:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     taus = scheme.taus
     base = scheme.base_lo + np.array([1 / 6, 1 / 2, 5 / 6]) * scheme.base_width
     # Sample words over the heaviest branches so deep levels stay tractable:
-    # alphabet size drops with depth, keeping ~words_per_k words per level.
+    # alphabet size drops with depth, keeping ~VARIATION_WORDS words per level.
     rank = np.argsort(-np.exp(pot.psi_fix), kind="stable")
     Vs = []
     for k in range(1, k_max + 1):
-        nb = max(2, int(round(words_per_k ** (1.0 / k))))
+        nb = max(2, int(round(VARIATION_WORDS ** (1.0 / k))))
         alphabet = np.sort(rank[:nb])
         words = alphabet[np.indices((len(alphabet),) * k).reshape(k, -1).T]
         words = words[taus[words].sum(1) <= scheme.n_max + 2 * k]
@@ -481,35 +486,16 @@ class SpectralOperator:
 # Pressure equation
 # ---------------------------------------------------------------------------
 
-def pressure_estimate(op, t, s, estimator="spectral", word_cap=500_000,
-                      warm=None):
-    """P_G(Phi - s tau) under the chosen estimator, on the scheme of `op`.
-
-    spectral: log of the leading transfer-operator eigenvalue (default;
-    bias limited to grid interpolation and branch truncation); `warm` is
-    passed to SpectralOperator.eigen.  zk: Cauchy difference of complete
-    Z_k ladders (small schemes).  factorized: log of the branch-weight sum
-    (exact when variations vanish, e.g. tents).
+def pressure_estimate(op, t, s, warm=None):
+    """P_G(Phi - s tau) on the scheme of `op`: the log of the leading
+    transfer-operator eigenvalue, biased only by grid interpolation and
+    branch truncation.  `warm` is passed to SpectralOperator.eigen.
     """
-    if estimator == "spectral":
-        lam, _ = op.eigen(t, s, warm=warm)
-        return math.log(lam)
-    pot = induced_potential(op, t, s)
-    if estimator == "factorized":
-        return math.log(float(np.exp(pot.psi_fix).sum()))
-    if estimator == "zk":
-        B = max(len(op.scheme.branches), 2)
-        k = 2
-        while B ** (k + 1) <= word_cap and k < 5:
-            k += 1
-        z1 = zk_sum(op, pot, k - 1, None)
-        z2 = zk_sum(op, pot, k, None)
-        return math.log(z2) - math.log(z1)
-    raise ValueError(f"unknown estimator '{estimator}'")
+    lam, _ = op.eigen(t, s, warm=warm)
+    return math.log(lam)
 
 
-def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4,
-                   estimator="spectral"):
+def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4):
     """Root of s -> P_G(Phi - s tau) by bisection.
 
     The map is strictly decreasing in s because tau >= 1; bisection inside
@@ -521,7 +507,7 @@ def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4,
     warm = np.ones(len(op.xs))
 
     def g(s):
-        return pressure_estimate(op, t, s, estimator=estimator, warm=warm)
+        return pressure_estimate(op, t, s, warm=warm)
 
     glo, ghi = g(lo), g(hi)
     if not (glo > 0.0 > ghi):
@@ -563,12 +549,10 @@ class GibbsState:
     t: float
     pressure: float            # P(phi_t): the root s*
     log_lambda: float          # eigenvalue fold-in: Psi_eff = Psi - log(lambda)
-    rho_grid_x: np.ndarray = field(repr=False)
     rho_grid: np.ndarray = field(repr=False)
     nu_grid: np.ndarray = field(repr=False)     # conformal cell masses, sum 1
     branch_mu: np.ndarray = field(repr=False)   # invariant branch masses, sum 1
     branch_m: np.ndarray = field(repr=False)    # conformal branch masses, sum 1
-    branch_rho: np.ndarray = field(repr=False)
     x_fix: np.ndarray = field(repr=False)
     sumlog_fix: np.ndarray = field(repr=False)
     words: tuple = field(repr=False)            # (n_k, k) word arrays, k = 1, 2, ...
@@ -579,7 +563,6 @@ class GibbsState:
     gibbs_constant: float = 1.0
     h_bound: float = 1.0
     variation: VariationProfile = None
-    tail_allowance: float = 0.05
     _op: SpectralOperator = field(default=None, repr=False)
     _W: np.ndarray = field(default=None, repr=False)
     _GY: np.ndarray = field(default=None, repr=False)
@@ -589,9 +572,6 @@ class GibbsState:
     def taus(self):
         return self.scheme.taus
 
-    def rho(self, x):
-        return self._op.interp(x, self.rho_grid)
-
     def psi_eff(self, sumlog, total_tau, k):
         """Normalised k-step potential Phi - s*tau - k log(lambda)."""
         return (-self.t * np.asarray(sumlog)
@@ -599,10 +579,9 @@ class GibbsState:
                 - k * self.log_lambda)
 
 
-def gibbs_state(op, t, weight_depth=4, weight_budget=None,
-                rho_tol=1e-8, rho_iters=1000, tail_allowance=0.05,
-                variation_kmax=6, estimator="spectral",
-                pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
+def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
+                variation_kmax=6, pressure_tol=1e-4,
+                bracket=(-5.0, 5.0)) -> GibbsState:
     """Pressure root, density, conformal/invariant cylinder weights on the
     scheme of the SpectralOperator `op`.
 
@@ -614,8 +593,7 @@ def gibbs_state(op, t, weight_depth=4, weight_budget=None,
     run over them depth by depth.
     """
     scheme = op.scheme
-    s_star = solve_pressure(op, t, bracket=bracket, tol=pressure_tol,
-                            estimator=estimator)
+    s_star = solve_pressure(op, t, bracket=bracket, tol=pressure_tol)
     W = op.weights(t, s_star)
     g = np.ones(len(op.xs))
     lam = 1.0
@@ -646,8 +624,7 @@ def gibbs_state(op, t, weight_depth=4, weight_budget=None,
         return -t * sumlog - s_star * total - k * log_lam
 
     m_raw1 = np.exp(psi_eff(slf, taus.astype(float), 1))
-    rho_b = op.interp(xf, g)
-    mu_raw1 = m_raw1 * rho_b
+    mu_raw1 = m_raw1 * op.interp(xf, g)
     # Operator-quadrature branch masses: mu(X_i) = sum_l nu_l W_il rho(y_il),
     # m(X_i) = sum_l nu_l W_il (exact up to grid interpolation; the anchored
     # word weights keep the Z_k bookkeeping but are 1-point estimates).
@@ -659,13 +636,13 @@ def gibbs_state(op, t, weight_depth=4, weight_budget=None,
     branch_mu_op = branch_mu_op / float(branch_mu_op.sum())
     branch_m_op = branch_m_op / m_norm
 
-    budget = weight_budget if weight_budget is not None else scheme.n_max + 8
+    budget = scheme.n_max + WEIGHT_SLACK
     words = [np.arange(len(taus))[:, None]]
     m_raw, mu_raw = [m_raw1], [mu_raw1]
     for k in range(2, weight_depth + 1):
         # Stop at the depth where complete enumeration stops being tractable;
         # stored depths then carry complete (budget-truncated) word sets.
-        if count_words(scheme, k, budget) > 300_000:
+        if count_words(scheme, k, budget) > WEIGHT_WORD_LIMIT:
             break
         wk, xfk, slk, ltk = op.word_data(k, budget)
         if not len(wk):
@@ -684,15 +661,14 @@ def gibbs_state(op, t, weight_depth=4, weight_budget=None,
 
     gs = GibbsState(
         scheme=scheme, t=float(t), pressure=s_star, log_lambda=log_lam,
-        rho_grid_x=op.xs, rho_grid=g, nu_grid=nu,
-        branch_mu=branch_mu_op, branch_m=branch_m_op, branch_rho=rho_b,
+        rho_grid=g, nu_grid=nu, branch_mu=branch_mu_op, branch_m=branch_m_op,
         x_fix=xf, sumlog_fix=slf, words=tuple(words),
         cylinder_weights=np.concatenate(m_raw) * c_m,
         mu_weights=np.concatenate(mu_raw) * c_mu,
         weight_depth=len(words),
         weight_sums=tuple(d * c_m for d in depth_sums),
         h_bound=float(var.B[0] ** 4), variation=var,
-        tail_allowance=tail_allowance, _op=op, _W=Wn, _GY=GY, _m_norm=m_norm,
+        _op=op, _W=Wn, _GY=GY, _m_norm=m_norm,
     )
     gs.gibbs_constant = gibbs_sandwich_report(gs)
     return gs
@@ -767,7 +743,7 @@ class EquilibriumMeasure:
         return (np.arange(n) + 0.5) / n
 
 
-def project_measure(scheme, gs: GibbsState, bins=4096, children_cap=None,
+def project_measure(scheme, gs: GibbsState, bins=4096,
                     split_parts=32) -> EquilibriumMeasure:
     """Push branch masses through f^k for 0 <= k < tau into a histogram.
 
@@ -779,16 +755,15 @@ def project_measure(scheme, gs: GibbsState, bins=4096, children_cap=None,
     """
     m = scheme.map
     hist = IntervalHistogram(bins)
-    nb = len(scheme.branches)
-    if children_cap is None:
-        children_cap = max(8, min(200, 40_000 // max(nb, 1)))
+    # at most ~40k children over all branches
+    cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
     tau_mean = float((gs.branch_mu * gs.taus).sum())
     if tau_mean > 1e3:
         warnings.warn("tau-mean exceeds 1e3; tail truncation dominates",
                       ProjectionUnstableWarning)
     fracs = np.linspace(0.0, 1.0, split_parts + 1)
     for i, b in enumerate(scheme.branches):
-        sel, clo, chi, masses = branch_children(gs, i, cap=children_cap)
+        sel, clo, chi, masses = branch_children(gs, i, cap=cap)
         leftover = max(float(gs.branch_mu[i]) - float(masses.sum()), 0.0)
         # Remainder mass lives in the complement of the kept children (deep
         # continuations cluster there); spread it over those gaps by length.
@@ -845,7 +820,7 @@ def invariance_residual(m: IntervalMap, mu: EquilibriumMeasure, tests):
 # Reports used by the acceptance suites
 # ---------------------------------------------------------------------------
 
-def conformality_report(gs: GibbsState, max_continuations=64):
+def conformality_report(gs: GibbsState):
     """Per-branch conformal identity at depth 2.
 
     For each branch i and its refinement pieces C_ij, checks
@@ -858,7 +833,7 @@ def conformality_report(gs: GibbsState, max_continuations=64):
     m = scheme.map
     taus = gs.taus
     order = np.argsort(-gs.branch_m, kind="stable")
-    conts = np.sort(order[:max_continuations])
+    conts = np.sort(order[:CONFORMAL_CONTINUATIONS])
     los = np.array([scheme.branches[j].lo for j in conts])
     his = np.array([scheme.branches[j].hi for j in conts])
     lhs = float(gs.branch_m[conts].sum())

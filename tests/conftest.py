@@ -142,6 +142,8 @@ SWEEP_CONFIG = {
     "base_depth": 2,
     "n_max": 20,
     "bins": 4096,
+    "split_parts": 8,
+    "weight_depth": 1,
 }
 
 LOGISTIC_SWEEP_CONFIG = {
@@ -153,6 +155,8 @@ LOGISTIC_SWEEP_CONFIG = {
     "base_depth": 2,
     "n_max": 20,
     "bins": 2048,
+    "split_parts": 8,
+    "weight_depth": 1,
 }
 
 

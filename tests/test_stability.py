@@ -1,13 +1,16 @@
-"""Per-rung error annotation in the stability sweep."""
+"""The stability sweep: per-rung error annotation, config keys, and the
+process-pool path."""
 
 import math
 
+import pytest
+
 from thermoform import stability
-from thermoform.errors import SingularPotentialError
+from thermoform.errors import ConfigError, SingularPotentialError
 
 CONFIG = {"family": "tent", "parameter": 1.9, "t_values": (1.0,),
           "ladder": (0.005,), "ladder_direction": -1.0, "base_depth": 2,
-          "n_max": 12, "bins": 512}
+          "n_max": 12, "bins": 512, "split_parts": 8, "weight_depth": 1}
 
 
 def test_rung_assembly_error_keeps_c2(monkeypatch):
@@ -29,3 +32,17 @@ def test_rung_assembly_error_keeps_c2(monkeypatch):
     assert row.error.startswith("SingularPotentialError")
     assert row.c2 > 0.0 and math.isfinite(row.c2)
     assert math.isnan(row.pressure)
+
+
+def test_unknown_key_raises():
+    with pytest.raises(ConfigError, match="n_maxx"):
+        stability.run_sweep(dict(CONFIG, n_maxx=12))
+
+
+def test_serial_and_pool_rows_identical(tmp_path):
+    paths = []
+    for threads in (1, 2):
+        report = stability.run_sweep(dict(CONFIG, threads=threads))
+        paths.append(tmp_path / f"threads{threads}.csv")
+        stability.report_to_csv(report, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -32,6 +32,7 @@ from thermoform.thermo import (
     variation_profile,
     zk_sum,
 )
+from thermoform.util import bisect_monotone
 from tests.conftest import cheb_acip_bin_masses, gibbs_for
 
 LOG2 = math.log(2.0)
@@ -258,10 +259,27 @@ def test_pressure_cheb_acip(cheb_op):
 
 def test_pressure_estimators_agree(tent2_op, cheb_op):
     # factorized is exact for constant slope; zk agrees coarsely on cheb
-    p_spec = solve_pressure(tent2_op, 0.9, estimator="spectral")
-    p_fact = solve_pressure(tent2_op, 0.9, estimator="factorized")
+    def factorized(s):
+        # log of the branch-weight sum
+        pot = induced_potential(tent2_op, 0.9, s)
+        return math.log(float(np.exp(pot.psi_fix).sum()))
+
+    # Cauchy difference of complete Z_k ladders, at the deepest k <= 5 with
+    # at most 5e5 words of depth k + 1
+    B = max(len(cheb_op.scheme.branches), 2)
+    k = 2
+    while B ** (k + 1) <= 500_000 and k < 5:
+        k += 1
+
+    def zk(s):
+        pot = induced_potential(cheb_op, 1.0, s)
+        return (math.log(zk_sum(cheb_op, pot, k, None))
+                - math.log(zk_sum(cheb_op, pot, k - 1, None)))
+
+    p_spec = solve_pressure(tent2_op, 0.9)
+    p_fact = bisect_monotone(factorized, -5.0, 5.0, 0.0)
     assert p_spec == pytest.approx(p_fact, abs=1e-6)
-    p_zk = solve_pressure(cheb_op, 1.0, estimator="zk")
+    p_zk = bisect_monotone(zk, -5.0, 5.0, 0.0)
     assert p_zk == pytest.approx(0.0, abs=5e-2)
 
 
@@ -331,7 +349,7 @@ def test_gibbs_weight_sums(tent2_gibbs, cheb_gibbs):
         assert gs.weight_sums
         for s in gs.weight_sums:
             assert s <= 1.0 + 1e-12
-            assert s >= 1.0 - gs.tail_allowance
+            assert s >= 1.0 - 0.05
 
 
 def test_gibbs_eigen_residual(tent2_gibbs, cheb_gibbs, cheb_gibbs_t09):
