@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from .config import gibbs_kwargs, load_config
+from .config import gibbs_kwargs, load_config, resolve
 from .cylinders import partition, partition_to_csv
 from .density import lyapunov, measure_density
 from .errors import ConfigError, ThermoformError
@@ -168,7 +168,7 @@ def main(argv=None):
         if args.plot:
             cfg["plot"] = True
         if getattr(args, "threads", None) is not None:
-            cfg["threads"] = args.threads
+            cfg = resolve(dict(cfg, threads=args.threads))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

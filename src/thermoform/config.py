@@ -4,6 +4,7 @@ validation and THERMOFORM_-prefixed environment overrides."""
 import configparser
 import os
 
+from .cylinders import MAX_DEPTH
 from .errors import ConfigError
 from .maps import FAMILIES
 
@@ -145,6 +146,13 @@ def _validate(v):
     for key in ("delta", "tol", "rho_tol"):
         if v[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    for key, least in (("height", 1), ("grid", 2), ("bins", 1),
+                       ("split_parts", 1), ("n_max", 1), ("weight_depth", 1),
+                       ("rho_iters", 1), ("max_domains", 1), ("threads", 1)):
+        if v[key] < least:
+            raise ConfigError(f"{key} must be >= {least}")
+    if not 0 <= v["base_depth"] <= MAX_DEPTH:
+        raise ConfigError(f"base_depth must lie in 0..{MAX_DEPTH}")
     ladder = v["ladder"]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("ladder offsets must be strictly decreasing")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousPointError, PartitionIncompleteError
+from .errors import AmbiguousPointError
 from .maps import IntervalMap
 
 ROOT_TOL = 1e-13
@@ -58,7 +58,8 @@ class CylinderMatching:
 
 
 def _preimages(m: IntervalMap, targets):
-    """All branch preimages of the target points, one bisection per branch."""
+    """All branch preimages of the target points: for each branch, the
+    closed-form inverse of every target in the branch's image."""
     out = []
     for b in range(m.n_branches):
         lo, hi = m.branch_interval(b)
@@ -66,17 +67,7 @@ def _preimages(m: IntervalMap, targets):
         ylo, yhi = min(va, vb), max(va, vb)
         for y in targets:
             if ylo - ROOT_TOL <= y <= yhi + ROOT_TOL:
-                yc = min(max(y, ylo), yhi)
-                try:
-                    if m.branch_inverse is not None:
-                        x = float(np.clip(m.branch_inverse(b, yc), lo, hi))
-                    else:
-                        x = m.invert_scalar(b, yc, tol=ROOT_TOL)
-                except ValueError as e:
-                    raise PartitionIncompleteError(
-                        f"branch {b}: cannot bracket preimage of {y}"
-                    ) from e
-                out.append(x)
+                out.append(float(m.invert(b, min(max(y, ylo), yhi))))
     return out
 
 

@@ -25,10 +25,6 @@ class AmbiguousPointError(ThermoformError):
     """Point coincides with a partition endpoint within root tolerance."""
 
 
-class PartitionIncompleteError(ThermoformError):
-    """Root finder failed to bracket a pullback endpoint."""
-
-
 class TowerTooLargeError(ThermoformError):
     """Domain count exceeded the configured cap."""
 
@@ -74,7 +70,7 @@ class LowCoverageWarning(UserWarning):
 
 
 class UnstablePressureWarning(UserWarning):
-    """Z_k sequence erratic; pressure estimate may be unreliable."""
+    """Pressure residual above tolerance; the root may be unreliable."""
 
 
 class VariationNotSummableWarning(UserWarning):

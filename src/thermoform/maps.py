@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from .errors import ConfigError, MapDomainEscapeError, SingularPotentialError
-from .util import bisect_monotone, bisect_monotone_vec
 
 CLAMP_TOL = 1e-9
 CRITICAL_CLEARANCE = 1e-12
@@ -56,7 +55,7 @@ class IntervalMap:
     df: callable = field(repr=False)
     d2f: callable = field(repr=False)
     critical_points: tuple
-    branch_inverse: callable = field(default=None, repr=False)
+    branch_inverse: callable = field(repr=False)   # (branch, y) -> preimage
     growth: GrowthClass = None
 
     @property
@@ -79,16 +78,10 @@ class IntervalMap:
         return np.clip(idx, 0, self.n_branches - 1)
 
     def invert(self, b, y):
-        """Preimage of y under f restricted to branch b (vectorised).
-
-        Uses the family's closed-form inverse when available, otherwise
-        bracketed bisection inside the branch (never escapes it).
-        """
-        if self.branch_inverse is not None:
-            lo, hi = self.branch_interval(b)
-            return np.clip(self.branch_inverse(b, np.asarray(y, dtype=float)), lo, hi)
+        """Preimage of y under f restricted to branch b (vectorised): the
+        family's closed-form inverse, clipped to the branch."""
         lo, hi = self.branch_interval(b)
-        return bisect_monotone_vec(self.f, lo, hi, y)
+        return np.clip(self.branch_inverse(b, np.asarray(y, dtype=float)), lo, hi)
 
     def pull_back(self, symbols, points, logs=True):
         """Pull points back through the level-1 branches coded by `symbols`.
@@ -119,11 +112,6 @@ class IntervalMap:
                     raise SingularPotentialError("pullback orbit hit zero derivative")
                 sumlog += np.log(d)
         return z, sumlog
-
-    def invert_scalar(self, b, y, tol=1e-13):
-        """Bisection preimage of a scalar y in branch b, to width `tol`."""
-        lo, hi = self.branch_interval(b)
-        return bisect_monotone(self.f, lo, hi, y, tol=tol)
 
     def __call__(self, x):
         return self.f(x)

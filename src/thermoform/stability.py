@@ -1,16 +1,18 @@
 """Stability experiments: parameter ladders, weak* and L1 distances,
 pressure curves, tail fits, matched-cylinder mass.
 
-Each ladder rung runs the full pipeline (partition -> tower -> scheme ->
-Gibbs state -> projection) for a perturbed parameter and is compared
-against the base map.  Rungs are independent; failures are annotated per
-rung and never silently dropped.  run_sweep reads the config schema's flat
+The base map's scheme, pressures and projected measures are computed once
+into a BaseState.  Each ladder rung runs the full pipeline (partition ->
+tower -> scheme -> Gibbs state -> projection) for a perturbed parameter and
+is compared against that record, in the same _run_rung whether serial or in
+a pool worker.  Rungs are independent; failures are annotated per rung and
+never silently dropped.  run_sweep reads the config schema's flat
 keys, every stage with the same settings for every map; only the Gibbs
 word depth is capped (SWEEP_WEIGHT_DEPTH), and the variation depth is the
 fixed SWEEP_VARIATION_KMAX.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -20,52 +22,27 @@ from .cylinders import partition
 from .errors import TailUnderresolvedError, IncomparableSchemesError, ThermoformError
 from .inducing import build_scheme, choose_base
 from .maps import c2_distance, make_member
-from .thermo import (
-    EquilibriumMeasure, GibbsState, SpectralOperator, gibbs_state, project_measure,
-)
+from .thermo import GibbsState, SpectralOperator, gibbs_state, project_measure
 from .tower import build_tower, transitive_component
 from .util import fmt12
 
 
 # ---------------------------------------------------------------------------
-# Test dictionaries and weak* distances
+# Weak* distances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestDictionary:
-    """Named bounded observables on [0,1] (sup norm <= 1 after scaling)."""
-
-    functions: tuple  # of (name, callable)
-
-    def items(self):
-        return self.functions
-
-    def __len__(self):
-        return len(self.functions)
+C2_GRID = 1000          # sample points of the C^2 distance between maps
+DICTIONARY_SIZE = 8     # Chebyshev observables of the weak* distance
 
 
-def chebyshev_dictionary(n=8) -> TestDictionary:
-    """First n Chebyshev polynomials rescaled to [0,1]."""
-
-    def make(j):
-        def g(x):
-            return np.cos(j * np.arccos(np.clip(2.0 * np.asarray(x) - 1.0, -1.0, 1.0)))
-
-        return g
-
-    return TestDictionary(tuple((f"T{j}", make(j)) for j in range(n)))
-
-
-def weak_star_vector(a: EquilibriumMeasure, b: EquilibriumMeasure,
-                     dictionary: TestDictionary):
-    """Per-observable |int g da - int g db| (same grid required)."""
-    if a.bins != b.bins:
-        raise ValueError("measures on different grids")
-    c = a.centers
-    return tuple(
-        abs(float(np.sum((a.masses - b.masses) * g(c))))
-        for _, g in dictionary.items()
-    )
+def weak_star_vector(a, b):
+    """Per-observable |int T_j da - int T_j db| of two bin-mass arrays on
+    the same uniform grid, over the first DICTIONARY_SIZE Chebyshev
+    polynomials T_j rescaled to [0,1]."""
+    n = len(a)
+    theta = np.arccos(np.clip(2.0 * ((np.arange(n) + 0.5) / n) - 1.0, -1.0, 1.0))
+    return tuple(abs(float(np.sum((a - b) * np.cos(j * theta))))
+                 for j in range(DICTIONARY_SIZE))
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +59,18 @@ def _fit_line(x, y):
     return coef[0], coef[1], r2
 
 
-def tail_profile(scheme, gs: GibbsState, N_grid=None):
+def tail_profile(gs: GibbsState):
     """Fit of the inducing-time tail mu_F(tau > N).
 
     Least squares of log tail against N (exponential) and against log N
     (polynomial); returns (C, rate, kind, r2) for the better model.
     """
     taus = gs.taus
-    if N_grid is None:
-        N_grid = list(range(2, int(taus.max()), 2))
     mu = gs.branch_mu
     pts = []
-    for N in N_grid:
+    for N in range(2, int(taus.max()), 2):
         tail = float(mu[taus > N].sum())
-        if tail > 1e-300 and N < taus.max():
+        if tail > 1e-300:
             pts.append((N, tail))
     if len(pts) < 3:
         raise TailUnderresolvedError(f"{len(pts)} usable tail points")
@@ -112,14 +87,17 @@ def tail_profile(scheme, gs: GibbsState, N_grid=None):
 # Matched-cylinder mass
 # ---------------------------------------------------------------------------
 
-def cylinder_mass_mismatch(scheme_a, scheme_b, gs_b: GibbsState, tau_cap):
+def cylinder_mass_mismatch(base, scheme_b, gs_b: GibbsState, tau_cap):
     """gs_b-mass of the symmetric differences of itinerary-matched branches
-    plus the mass of unmatched branches, up to inducing time tau_cap."""
-    if scheme_a.base_itinerary != scheme_b.base_itinerary:
+    plus the mass of unmatched branches, up to inducing time tau_cap.
+
+    `base` is the BaseState of the sweep: its itinerary and branches.
+    """
+    if base.itinerary != scheme_b.base_itinerary:
         raise IncomparableSchemesError(
-            f"bases {scheme_a.base_itinerary} vs {scheme_b.base_itinerary}"
+            f"bases {base.itinerary} vs {scheme_b.base_itinerary}"
         )
-    bys_a = {b.itinerary: b for b in scheme_a.branches if b.tau <= tau_cap}
+    bys_a = {b.itinerary: b for b in base.branches if b.tau <= tau_cap}
     total = 0.0
     matched_a = set()
     dens_b = np.array([
@@ -154,9 +132,6 @@ def cylinder_mass_mismatch(scheme_a, scheme_b, gs_b: GibbsState, tau_cap):
 # ---------------------------------------------------------------------------
 # The sweep harness
 # ---------------------------------------------------------------------------
-
-C2_GRID = 1000          # sample points of the C^2 distance between maps
-DICTIONARY_SIZE = 8     # Chebyshev observables of the weak* distance
 
 # Bounds on the Gibbs state of every sweep member, which bound the work of a
 # sweep's one state per (member, t).  The stored word depth changes only the
@@ -196,12 +171,24 @@ class RungResult:
 class StabilityReport:
     family: str
     parameter: float
-    base_itinerary: tuple
     t_values: tuple
-    ladder: tuple
     weight_depth: int       # of the Gibbs states, after the sweep cap
-    rows: list = field(default_factory=list)
-    base_pressure: dict = field(default_factory=dict)  # t -> P at the base map
+    rows: list              # RungResult, rung by rung, t by t
+
+
+@dataclass(frozen=True)
+class BaseState:
+    """What every rung compares against, built once per sweep.
+
+    Plain data, so the process pool ships it to its workers by pickle; an
+    IntervalMap's closures do not pickle, so a rung rebuilds the base map
+    with make_member for its C^2 distance.
+    """
+
+    itinerary: tuple        # of the base cylinder
+    branches: tuple         # of the base scheme
+    pressure: dict          # t -> P at the base map
+    masses: dict            # t -> projected bin masses at the base map
 
 
 def _pipeline_state(family, parameter, base_itin, cfg):
@@ -226,110 +213,104 @@ def _equilibrium(op, t, gibbs, cfg):
     return gs, mu
 
 
-def run_sweep(config) -> StabilityReport:
+def _base_state(cfg, gibbs, t_values) -> BaseState:
+    """Scheme, pressures and projected measures of the base map."""
+    m = make_member(cfg["family"], float(cfg["parameter"]))
+    tower = build_tower(m, cfg["height"], cfg["max_domains"])
+    transitive_component(tower)
+    cyl = choose_base(m, tower, cfg["base_depth"], delta=cfg["delta"],
+                      require_boundary=cfg["require_boundary"])
+    scheme = build_scheme(m, tower, cyl, delta=cfg["delta"], n_max=cfg["n_max"])
+    op = SpectralOperator(scheme, cfg["grid"])
+    states = {t: _equilibrium(op, t, gibbs, cfg) for t in t_values}
+    return BaseState(cyl.itinerary, scheme.branches,
+                     {t: gs.pressure for t, (gs, _) in states.items()},
+                     {t: mu.masses for t, (_, mu) in states.items()})
+
+
+def _run_rung(cfg, gibbs, base, off, rung_param):
+    """The rows of one ladder rung, one per t, compared against `base`."""
+    t_values = tuple(float(t) for t in cfg["t_values"])
+    try:
+        rung_map, rung_scheme = _pipeline_state(cfg["family"], rung_param,
+                                                base.itinerary, cfg)
+        base_map = make_member(cfg["family"], float(cfg["parameter"]))
+        c2 = c2_distance(rung_map, base_map, C2_GRID)
+    except ThermoformError as e:
+        return [RungResult(off, rung_param, t, error=f"{type(e).__name__}: {e}")
+                for t in t_values]
+    try:
+        rung_op = SpectralOperator(rung_scheme, cfg["grid"])
+    except ThermoformError as e:
+        return [RungResult(off, rung_param, t, c2=c2,
+                           error=f"{type(e).__name__}: {e}")
+                for t in t_values]
+    rows = []
+    for t in t_values:
+        row = RungResult(off, rung_param, t, c2=c2)
+        try:
+            gs, mu = _equilibrium(rung_op, t, gibbs, cfg)
+            row.pressure = gs.pressure
+            row.delta_p = abs(gs.pressure - base.pressure[t])
+            row.ws_vector = weak_star_vector(mu.masses, base.masses[t])
+            row.weak_star = max(row.ws_vector)
+            if t == 1.0:
+                row.l1 = float(np.abs(mu.masses - base.masses[t]).sum())
+            row.tail_c, row.tail_rate, row.tail_kind, row.tail_r2 = \
+                tail_profile(gs)
+            row.mismatch = cylinder_mass_mismatch(base, rung_scheme, gs,
+                                                  cfg["tau_cap"])
+            row.gibbs_k = gs.gibbs_constant
+            row.coverage = rung_scheme.coverage
+            row.branches = len(rung_scheme.branches)
+        except ThermoformError as e:
+            row.error = f"{type(e).__name__}: {e}"
+        rows.append(row)
+    return rows
+
+
+def run_sweep(config, base=None) -> StabilityReport:
     """Execute the stability experiment described by the config mapping.
 
     The keys are the flat names of the config schema (config.DEFAULTS):
     family and parameter, plus any others to override; unknown keys raise
     ConfigError.  The Gibbs states use weight_depth capped at
-    SWEEP_WEIGHT_DEPTH and variation depth SWEEP_VARIATION_KMAX.
-    Deterministic given the config; per-rung errors are annotated, never
-    dropped.
+    SWEEP_WEIGHT_DEPTH and variation depth SWEEP_VARIATION_KMAX.  `base` is
+    the sweep's BaseState when the caller has it (a pool worker); otherwise
+    it is built here, once, and shipped to the workers.  Deterministic given
+    the config; per-rung errors are annotated, never dropped.
     """
     cfg = resolve(config)
-    family = cfg["family"]
     parameter = float(cfg["parameter"])
-    ladder = tuple(float(x) for x in cfg["ladder"])
     t_values = tuple(float(t) for t in cfg["t_values"])
-    dictionary = chebyshev_dictionary(DICTIONARY_SIZE)
     gibbs = gibbs_kwargs(cfg)
     gibbs["weight_depth"] = min(gibbs["weight_depth"], SWEEP_WEIGHT_DEPTH)
     gibbs["variation_kmax"] = SWEEP_VARIATION_KMAX
-
-    base_map = make_member(family, parameter)
-    base_tower = build_tower(base_map, cfg["height"], cfg["max_domains"])
-    transitive_component(base_tower)
-    base_cyl = choose_base(base_map, base_tower, cfg["base_depth"],
-                           delta=cfg["delta"],
-                           require_boundary=cfg["require_boundary"])
-    base_itin = base_cyl.itinerary
-    base_scheme = build_scheme(base_map, base_tower, base_cyl,
-                               delta=cfg["delta"], n_max=cfg["n_max"])
-    base_op = SpectralOperator(base_scheme, cfg["grid"])
-    base_states = {t: _equilibrium(base_op, t, gibbs, cfg) for t in t_values}
-
-    report = StabilityReport(family, parameter, base_itin, t_values, ladder,
-                             gibbs["weight_depth"])
-    report.base_pressure = {t: base_states[t][0].pressure for t in t_values}
-
-    tasks = []
-    for off in ladder:
-        rung_param = parameter + cfg["ladder_direction"] * off
-        tasks.append((off, rung_param))
-
-    def run_rung(off, rung_param):
-        rows = []
-        try:
-            rung_map, rung_scheme = _pipeline_state(family, rung_param,
-                                                    base_itin, cfg)
-            c2 = c2_distance(rung_map, base_map, C2_GRID)
-        except ThermoformError as e:
-            for t in t_values:
-                rows.append(RungResult(off, rung_param, t,
-                                       error=f"{type(e).__name__}: {e}"))
-            return rows
-        try:
-            rung_op = SpectralOperator(rung_scheme, cfg["grid"])
-        except ThermoformError as e:
-            return [RungResult(off, rung_param, t, c2=c2,
-                               error=f"{type(e).__name__}: {e}")
-                    for t in t_values]
-        for t in t_values:
-            row = RungResult(off, rung_param, t, c2=c2)
-            try:
-                gs, mu = _equilibrium(rung_op, t, gibbs, cfg)
-                base_gs, base_mu = base_states[t]
-                row.pressure = gs.pressure
-                row.delta_p = abs(gs.pressure - base_gs.pressure)
-                vec = weak_star_vector(mu, base_mu, dictionary)
-                row.ws_vector = vec
-                row.weak_star = max(vec)
-                if t == 1.0:
-                    row.l1 = float(np.abs(mu.masses - base_mu.masses).sum())
-                row.tail_c, row.tail_rate, row.tail_kind, row.tail_r2 = \
-                    tail_profile(rung_scheme, gs)
-                row.mismatch = cylinder_mass_mismatch(
-                    base_scheme, rung_scheme, gs, cfg["tau_cap"])
-                row.gibbs_k = gs.gibbs_constant
-                row.coverage = rung_scheme.coverage
-                row.branches = len(rung_scheme.branches)
-            except ThermoformError as e:
-                row.error = f"{type(e).__name__}: {e}"
-            rows.append(row)
-        return rows
-
+    if base is None:
+        base = _base_state(cfg, gibbs, t_values)
+    tasks = [(float(off), parameter + cfg["ladder_direction"] * float(off))
+             for off in cfg["ladder"]]
     threads = int(cfg["threads"])
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            futures = [ex.submit(_rung_worker, dict(cfg), off, p, base_itin)
+            futures = [ex.submit(_rung_worker, cfg, off, p, base)
                        for off, p in tasks]
             chunks = [f.result() for f in futures]
     else:
-        chunks = [run_rung(off, p) for off, p in tasks]
-    for chunk in chunks:
-        report.rows.extend(chunk)
-    return report
+        chunks = [_run_rung(cfg, gibbs, base, off, p) for off, p in tasks]
+    return StabilityReport(cfg["family"], parameter, t_values,
+                           gibbs["weight_depth"],
+                           [row for chunk in chunks for row in chunk])
 
 
-def _rung_worker(cfg, off, rung_param, base_itin):
-    """Process-pool entry; rebuilds the base states in the worker."""
-    sub = dict(cfg)
-    sub["ladder"] = (off,)
-    sub["threads"] = 1
-    rep = run_sweep(sub)
-    return [r for r in rep.rows]
+def _rung_worker(cfg, off, rung_param, base):
+    """Process-pool entry: the rows of the rung at offset `off`, against the
+    parent's base record.  `rung_param` names the rung; run_sweep derives
+    the same value from `off`.  It goes through run_sweep on a one-rung
+    ladder, so a worker runs the same code as the serial loop."""
+    return run_sweep(dict(cfg, ladder=(off,), threads=1), base).rows
 
 
 REPORT_COLUMNS = (

@@ -25,7 +25,6 @@ from .errors import (
     BranchNotContractingError,
     PressureUnbracketedError,
     ProjectionUnstableWarning,
-    SingularPotentialError,
     TransferOperatorDivergedError,
     UnstablePressureWarning,
     VariationNotSummableWarning,
@@ -172,19 +171,6 @@ def count_words(scheme, k, budget):
     return int(round(ways.sum()))
 
 
-def forward_sumlog(m: IntervalMap, x, steps):
-    """Sum of log|Df| along the first `steps` iterates (vectorised)."""
-    z = np.asarray(x, dtype=float).copy()
-    s = np.zeros_like(z)
-    for _ in range(steps):
-        d = np.abs(m.df(z))
-        if np.any(d < 1e-300):
-            raise SingularPotentialError("orbit hit zero derivative")
-        s += np.log(d)
-        z = np.asarray(m.f(z))
-    return s, z
-
-
 # ---------------------------------------------------------------------------
 # Induced potential
 # ---------------------------------------------------------------------------
@@ -203,34 +189,25 @@ class InducedPotential:
     tau: np.ndarray = field(repr=False)
     x_fix: np.ndarray = field(repr=False)
     sumlog_fix: np.ndarray = field(repr=False)
-    sumlog_mid: np.ndarray = field(repr=False)
 
     @property
     def phi_fix(self):
         return -self.t * self.sumlog_fix
 
     @property
-    def phi_mid(self):
-        return -self.t * self.sumlog_mid
-
-    @property
     def psi_fix(self):
         return self.phi_fix - self.s * self.tau
 
-    @property
-    def psi_mid(self):
-        return self.phi_mid - self.s * self.tau
-
 
 def induced_potential(op, t, s) -> InducedPotential:
-    """Branch potential data at midpoints and branch fixed points, from the
-    orbit data held by the scheme's SpectralOperator `op`."""
+    """Branch potential data at the branch fixed points, from the orbit data
+    held by the scheme's SpectralOperator `op`."""
     scheme = op.scheme
     bad = sum(1 for b in scheme.branches if not b.extension_ok)
     if bad:
         warnings.warn(f"{bad} branches lack the extension margin", UserWarning)
-    xf, slf, slm = op.orbit
-    return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf, slm)
+    xf, slf = op.orbit
+    return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf)
 
 
 # ---------------------------------------------------------------------------
@@ -286,75 +263,22 @@ def variation_profile(scheme, pot: InducedPotential, k_max) -> VariationProfile:
 
 
 # ---------------------------------------------------------------------------
-# Partition sums and Gurevich pressure
+# Partition sums
 # ---------------------------------------------------------------------------
 
-def zk_sum(op, pot: InducedPotential, k, N, start=None):
+def zk_sum(op, pot: InducedPotential, k, N):
     """Z_k = sum over k-periodic words (total time <= N) of exp(Psi_k).
 
     Each word cylinder contains a unique periodic point of the composed
-    inverse branch; Psi_k is evaluated there.  `start` restricts the sum to
-    words beginning in one 1-cylinder (the paper's convention); the default
-    sums over all of them.  Word data comes from the operator's memo.
+    inverse branch; Psi_k is evaluated there.  Word data comes from the
+    operator's memo.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    words, _, sl, lt = op.word_data(k, N)
-    if start is not None:
-        keep = words[:, 0] == start
-        sl, lt = sl[keep], lt[keep]
+    _, _, sl, lt = op.word_data(k, N)
     if len(sl) == 0:
         return 0.0
     return float(np.exp(-pot.t * sl - pot.s * lt).sum())
-
-
-@dataclass(frozen=True)
-class PressureEstimate:
-    estimate: float         # Cauchy difference log Z_k - log Z_{k-1}
-    last: float             # (1/k_max) log Z_{k_max}
-    sup_lower: float        # sup_k (1/k) log Z_k over the computed ladder
-    sequence: tuple
-    cylinder_spread: float  # gap between two start-cylinder restrictions
-
-
-def gurevich_pressure(op, pot: InducedPotential, k_max, N,
-                      return_detail=False):
-    """Growth-rate estimate of (1/k) log Z_k for k <= k_max.
-
-    Returns the Cauchy-difference (Richardson-style) estimate; the detail
-    object also carries the raw sequence, the last value, the
-    superadditivity lower bound, and the spread between two start-cylinder
-    restrictions (the limit does not depend on that choice).
-    """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    logz = []
-    for k in range(1, k_max + 1):
-        z = zk_sum(op, pot, k, N)
-        if z <= 0.0:
-            raise ValueError(f"empty word set at depth {k} under budget {N}")
-        logz.append(math.log(z))
-    seq = tuple(lz / (k + 1) for k, lz in enumerate(logz))
-    estimate = logz[-1] - logz[-2]
-    diffs = np.diff(np.array(logz))
-    if len(diffs) >= 3 and abs(diffs[-1] - diffs[-2]) > 2 * abs(diffs[-2] - diffs[-3]) + 1e-9:
-        warnings.warn(
-            f"erratic Z_k ladder: {[round(s, 6) for s in seq]}",
-            UnstablePressureWarning,
-        )
-    spread = 0.0
-    if len(op.scheme.branches) >= 2:
-        alt = []
-        for i in (0, 1):
-            z1 = zk_sum(op, pot, 1, N, start=i)
-            z2 = zk_sum(op, pot, 2, N, start=i)
-            if z1 > 0 and z2 > 0:
-                alt.append(math.log(z2) - math.log(z1))
-        if len(alt) == 2:
-            spread = abs(alt[0] - alt[1])
-    if return_detail:
-        return PressureEstimate(estimate, seq[-1], max(seq), seq, spread)
-    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +315,10 @@ class SpectralOperator:
 
     @cached_property
     def orbit(self):
-        """(x_fix, sumlog_fix, sumlog_mid) for the single-branch words."""
-        scheme = self.scheme
-        xf, slf, _ = periodic_anchors(scheme, np.arange(len(scheme.branches))[:, None])
-        mids = np.array([b.midpoint for b in scheme.branches])
-        slm = np.empty(len(mids))
-        taus = scheme.taus
-        for tval in np.unique(taus):
-            rows = taus == tval
-            slm[rows], _ = forward_sumlog(scheme.map, mids[rows], int(tval))
-        return xf, slf, slm
+        """(x_fix, sumlog_fix) for the single-branch words."""
+        xf, slf, _ = periodic_anchors(
+            self.scheme, np.arange(len(self.scheme.branches))[:, None])
+        return xf, slf
 
     def word_data(self, k, budget):
         """(words, x_fix, sumlog, total_tau) of the k-words with total time
@@ -553,8 +471,6 @@ class GibbsState:
     nu_grid: np.ndarray = field(repr=False)     # conformal cell masses, sum 1
     branch_mu: np.ndarray = field(repr=False)   # invariant branch masses, sum 1
     branch_m: np.ndarray = field(repr=False)    # conformal branch masses, sum 1
-    x_fix: np.ndarray = field(repr=False)
-    sumlog_fix: np.ndarray = field(repr=False)
     words: tuple = field(repr=False)            # (n_k, k) word arrays, k = 1, 2, ...
     cylinder_weights: np.ndarray = field(repr=False)  # anchored conformal masses
     mu_weights: np.ndarray = field(repr=False)        # anchored invariant masses
@@ -617,7 +533,7 @@ def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
     # Normalise rho so that int rho dm = 1 on the grid.
     g = g / float((nu * g).sum())
 
-    xf, slf, slm = op.orbit
+    xf, slf = op.orbit
     taus = scheme.taus
 
     def psi_eff(sumlog, total, k):
@@ -656,13 +572,13 @@ def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
     c_m = 1.0 / max(depth_sums)
     c_mu = 1.0 / float(mu_raw1.sum())
 
-    pot = InducedPotential(scheme, float(t), s_star, taus, xf, slf, slm)
+    pot = InducedPotential(scheme, float(t), s_star, taus, xf, slf)
     var = variation_profile(scheme, pot, variation_kmax)
 
     gs = GibbsState(
         scheme=scheme, t=float(t), pressure=s_star, log_lambda=log_lam,
         rho_grid=g, nu_grid=nu, branch_mu=branch_mu_op, branch_m=branch_m_op,
-        x_fix=xf, sumlog_fix=slf, words=tuple(words),
+        words=tuple(words),
         cylinder_weights=np.concatenate(m_raw) * c_m,
         mu_weights=np.concatenate(mu_raw) * c_mu,
         weight_depth=len(words),

@@ -43,24 +43,6 @@ def bisect_monotone(g, lo, hi, target, tol=1e-13, max_iter=200):
     return 0.5 * (a + b)
 
 
-def bisect_monotone_vec(g, lo, hi, target, iters=47):
-    """Vectorised bisection: g monotone on [lo, hi], target an array."""
-    t = np.asarray(target, dtype=float)
-    a = np.full_like(t, lo)
-    b = np.full_like(t, hi)
-    increasing = g(hi) >= g(lo)
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if increasing:
-            left = gm < t
-        else:
-            left = gm > t
-        a = np.where(left, m, a)
-        b = np.where(left, b, m)
-    return 0.5 * (a + b)
-
-
 class IntervalHistogram:
     """Accumulates mass of intervals into uniform bins on [0,1].
 

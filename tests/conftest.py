@@ -1,10 +1,8 @@
-"""Shared fixtures: maps, towers, schemes, Gibbs states, sweep reports.
+"""Shared fixtures: maps, towers, schemes, Gibbs states; sweep configs.
 
 The expensive pipeline objects are session-scoped and shared between the
 module tests and the acceptance suite.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ import pytest
 from thermoform.cylinders import partition
 from thermoform.inducing import build_scheme
 from thermoform.maps import make_map
-from thermoform.stability import run_sweep
 from thermoform.thermo import SpectralOperator, gibbs_state, project_measure
 from thermoform.tower import build_tower, transitive_component
 
@@ -158,19 +155,6 @@ LOGISTIC_SWEEP_CONFIG = {
     "split_parts": 8,
     "weight_depth": 1,
 }
-
-
-@pytest.fixture(scope="session")
-def tent_sweep():
-    t0 = time.monotonic()
-    report = run_sweep(SWEEP_CONFIG)
-    return report, time.monotonic() - t0
-
-
-@pytest.fixture(scope="session")
-def logistic_sweep():
-    report = run_sweep(LOGISTIC_SWEEP_CONFIG)
-    return report
 
 
 def cheb_acip_bin_masses(bins):

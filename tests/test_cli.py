@@ -55,6 +55,33 @@ def test_config_errors_exit_2(tmp_path):
                    dict(TENT19, gibbs={"variation_kmax": 4})) == 2
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("tower", "tower", "height", 0),
+    ("pressure", "pressure", "grid", 1),
+    ("equilibrium", "experiment", "bins", 0),
+    ("equilibrium", "gibbs", "split_parts", 0),
+    ("partition", "experiment", "base_depth", -1),
+    ("partition", "experiment", "base_depth", 21),
+    ("induce", "experiment", "n_max", 0),
+    ("equilibrium", "gibbs", "weight_depth", 0),
+    ("equilibrium", "gibbs", "rho_iters", 0),
+    ("tower", "tower", "max_domains", 0),
+    ("stability", "output", "threads", 0),
+])
+def test_out_of_range_values_exit_2(tmp_path, command, section, key, value):
+    # each value would crash the command or be run as another one
+    sections = TENT19 if command == "stability" else TENT2
+    sections = dict(sections, **{section: dict(sections.get(section, {}),
+                                               **{key: value})})
+    assert run_cli(tmp_path, command, sections) == 2
+
+
+def test_threads_flag_out_of_range_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "config.ini", TENT19)
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", "0"]) == 2
+
+
 def test_unbracketed_pressure_exits_1(tmp_path):
     # every command that solves the pressure equation honours the bracket
     for command in ("pressure", "equilibrium"):
@@ -115,5 +142,6 @@ def test_tracer_sees_pool_rungs(tmp_path):
                          dict(TENT19, output={"threads": 2}))
     assert [p for p, _ in spans.rungs(flushes)] == [pytest.approx(1.895)]
     metrics = spans.summarize(flushes, 2)
-    assert metrics["stability.scheme_builds_useful_frac"] > 0
+    # the base scheme is built once, in the parent, not again in the worker
+    assert metrics["stability.scheme_builds_useful_frac"] == 1.0
     assert metrics["stability.pool.worker_busy_frac"] > 0

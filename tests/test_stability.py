@@ -7,6 +7,7 @@ import pytest
 
 from thermoform import stability
 from thermoform.errors import ConfigError, SingularPotentialError
+from tests.conftest import SWEEP_CONFIG
 
 CONFIG = {"family": "tent", "parameter": 1.9, "t_values": (1.0,),
           "ladder": (0.005,), "ladder_direction": -1.0, "base_depth": 2,
@@ -40,9 +41,23 @@ def test_unknown_key_raises():
 
 
 def test_serial_and_pool_rows_identical(tmp_path):
+    # two tent rungs at t = 0.9 and 1: the pool's workers get the parent's
+    # base record, and every rung meets the closed form P(t) = (1-t) log s
+    config = dict(SWEEP_CONFIG, ladder=(0.01, 0.005), n_max=12, bins=512)
     paths = []
     for threads in (1, 2):
-        report = stability.run_sweep(dict(CONFIG, threads=threads))
+        report = stability.run_sweep(dict(config, threads=threads))
         paths.append(tmp_path / f"threads{threads}.csv")
         stability.report_to_csv(report, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(report.rows) == 4
+    for row in report.rows:
+        assert row.error == ""
+        # the n_max 12 truncation bias is 5.0e-3 to 5.7e-3
+        closed = (1.0 - row.t) * math.log(row.parameter)
+        assert row.pressure == pytest.approx(closed, abs=1e-2)
+    for off in config["ladder"]:
+        rung = {r.t: r for r in report.rows if r.offset == off}
+        s = rung[1.0].parameter
+        assert rung[0.9].pressure - rung[1.0].pressure == \
+            pytest.approx(0.1 * math.log(s), abs=1e-5)

@@ -20,7 +20,6 @@ from thermoform.thermo import (
     gibbs_sandwich_report,
     gibbs_state,
     gibbs_to_csv,
-    gurevich_pressure,
     induced_potential,
     invariance_residual,
     measure_to_csv,
@@ -56,7 +55,6 @@ def test_induced_potential_tent2(tent2_scheme, tent2_op):
     pot = induced_potential(tent2_op, 1.0, 0.0)
     taus = tent2_scheme.taus
     assert np.allclose(pot.psi_fix, -taus * LOG2, atol=1e-12)
-    assert np.allclose(pot.psi_mid, -taus * LOG2, atol=1e-12)
 
 
 def test_induced_potential_t0(cheb_scheme, cheb_op):
@@ -66,20 +64,21 @@ def test_induced_potential_t0(cheb_scheme, cheb_op):
 
 
 def test_induced_phi_vs_finite_difference(cheb_scheme, cheb_op):
-    # chain-rule derivative of f^tau against a central difference on the
-    # three widest branches (short return times, well-conditioned stencil)
+    # chain-rule derivative of f^tau at the branch fixed point against a
+    # central difference on the three widest branches (short return times,
+    # well-conditioned stencil)
     pot = induced_potential(cheb_op, 1.0, 0.0)
     m = cheb_scheme.map
     widths = np.array([b.width for b in cheb_scheme.branches])
     for i in np.argsort(-widths)[:3]:
         b = cheb_scheme.branches[i]
-        x = b.midpoint
+        x = float(pot.x_fix[i])
         h = 1e-7 * b.width
         up, down = x + h, x - h
         for _ in range(b.tau):
             up, down = float(m.f(up)), float(m.f(down))
         fd = abs(up - down) / (2 * h)
-        assert pot.phi_mid[i] == pytest.approx(-math.log(fd), abs=1e-5)
+        assert pot.phi_fix[i] == pytest.approx(-math.log(fd), abs=1e-5)
 
 
 def test_psi_additive_along_words(cheb_scheme):
@@ -134,7 +133,7 @@ def test_variation_cheb_decay_and_doubling(cheb_scheme, cheb_op):
 
 
 # ---------------------------------------------------------------------------
-# Z_k and Gurevich pressure
+# Z_k
 # ---------------------------------------------------------------------------
 
 def test_zk_single_branch_power():
@@ -181,45 +180,12 @@ def test_zk_constant_values_brute_force(tent2, tent2_tower):
         assert zk_sum(op, pot, k, N) == pytest.approx(total, rel=1e-10)
 
 
-def test_zk_start_restriction(tent2_scheme, tent2_op):
-    pot = induced_potential(tent2_op, 1.0, 0.0)
-    full = zk_sum(tent2_op, pot, 2, 12)
-    parts = sum(zk_sum(tent2_op, pot, 2, 12, start=i)
-                for i in range(len(tent2_scheme.branches)))
-    assert parts == pytest.approx(full, rel=1e-12)
-
-
 def test_zk_growth_rate_to_zero(tent2_op):
     # (1/k) log Z_k -> 0 for the full tent at (t, s) = (1, 0)
     pot = induced_potential(tent2_op, 1.0, 0.0)
     vals = [math.log(zk_sum(tent2_op, pot, k, None)) / k for k in (1, 2, 3)]
     assert abs(vals[-1]) < 1e-3
     assert abs(vals[-1]) <= abs(vals[0]) + 1e-12
-
-
-def test_gurevich_constant_scheme(tent2_scheme, tent2_op):
-    # t = 0 gives a constant zero potential: pressure log(#branches)
-    pot = induced_potential(tent2_op, 0.0, 0.0)
-    est = gurevich_pressure(tent2_op, pot, 3, None)
-    assert est == pytest.approx(math.log(len(tent2_scheme.branches)), abs=1e-9)
-
-
-def test_gurevich_shift_property(tent2_op):
-    # shifting s by c shifts every per-step weight by -c * tau; with the
-    # difference estimator the pressure moves by log-mean accordingly
-    pot0 = induced_potential(tent2_op, 1.0, 0.0)
-    est0 = gurevich_pressure(tent2_op, pot0, 3, None, return_detail=True)
-    assert abs(est0.estimate) < 1e-3
-    assert est0.cylinder_spread < 1e-6
-    assert est0.sup_lower <= est0.estimate + 1e-6
-
-
-def test_gurevich_detail_fields(cheb_op):
-    pot = induced_potential(cheb_op, 1.0, 0.0)
-    det = gurevich_pressure(cheb_op, pot, 4, 24, return_detail=True)
-    assert len(det.sequence) == 4
-    assert det.last == pytest.approx(det.sequence[-1])
-    assert det.sup_lower >= max(det.sequence) - 1e-12
 
 
 def test_count_words_matches_enumeration(cheb_scheme):
@@ -437,8 +403,12 @@ def test_invariance_point_mass_at_fixed_point():
     def d2f(x):
         return np.full_like(np.asarray(x, dtype=float), -2 * a)
 
+    def inv(b, y):
+        r = np.sqrt(np.maximum(0.25 - np.asarray(y, dtype=float) / a, 0.0))
+        return 0.5 - r if b == 0 else 0.5 + r
+
     m = IntervalMap("toy", (a,), f, df, d2f,
-                    (CriticalPoint(0.5, 2.0, "maximum"),))
+                    (CriticalPoint(0.5, 2.0, "maximum"),), inv)
     masses = np.zeros(17)
     masses[8] = 1.0  # bin center (8 + 0.5)/17 = 0.5 = the fixed point
     mu = EquilibriumMeasure(m, 1.0, masses, 1.0)
