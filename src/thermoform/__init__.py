@@ -6,8 +6,3 @@ projected equilibrium measure -> stability experiments.
 """
 
 __version__ = "0.1.0"
-
-from .maps import make_map, eval_orbit, potential_phi, c2_distance  # noqa: F401
-from .cylinders import partition, cylinder_containing, match_partitions  # noqa: F401
-from .tower import build_tower, transitive_component, tower_step  # noqa: F401
-from .inducing import fatten, check_set, build_scheme, choose_base, scheme_orbit_times  # noqa: F401

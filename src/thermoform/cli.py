@@ -91,14 +91,6 @@ def cmd_equilibrium(cfg, out):
         lam = lyapunov(m, measure_density(mu))
         print(f"t={fmt12(t)} P={fmt12(gs.pressure)} tau_mean={fmt12(mu.tau_mean)} "
               f"lyapunov={fmt12(lam)} K={fmt12(gs.gibbs_constant)} -> {path}")
-        if cfg["plot"]:
-            from .svgplot import line_chart
-
-            dens = measure_density(mu)
-            line_chart(os.path.join(out, f"equilibrium_t{tag}.svg"),
-                       [("density", dens.centers, dens.values)],
-                       title=f"equilibrium density t={fmt12(t)}",
-                       xlabel="x", ylabel="density")
     return 0
 
 
@@ -113,26 +105,6 @@ def cmd_stability(cfg, out):
         status = r.error if r.error else "ok"
         print(f"  offset={fmt12(r.offset)} t={fmt12(r.t)} "
               f"weak*={fmt12(r.weak_star)} dP={fmt12(r.delta_p)} [{status}]")
-    if cfg["plot"]:
-        from .svgplot import line_chart
-
-        for t in report.t_values:
-            rows = [r for r in report.rows if r.t == t and not r.error]
-            if not rows:
-                continue
-            offs = [r.offset for r in rows]
-            tag = fmt12(t).replace(".", "p")
-            line_chart(os.path.join(out, f"stability_weakstar_t{tag}.svg"),
-                       [("weak*", offs, [r.weak_star for r in rows])],
-                       title=f"weak* distance vs offset (t={fmt12(t)})",
-                       xlabel="log10 offset", ylabel="log10 distance",
-                       logx=True, logy=True)
-            if t == 1.0:
-                line_chart(os.path.join(out, "stability_l1.svg"),
-                           [("L1", offs, [r.l1 for r in rows])],
-                           title="L1 density distance vs offset",
-                           xlabel="log10 offset", ylabel="log10 distance",
-                           logx=True, logy=True)
     return 0
 
 
@@ -156,7 +128,6 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--plot", action="store_true", help="write SVG charts")
         if name == "stability":
             p.add_argument("--threads", type=int, default=None,
                            help="worker processes for the ladder rungs")
@@ -165,8 +136,6 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.out is not None:
             cfg["out_dir"] = args.out
-        if args.plot:
-            cfg["plot"] = True
         if getattr(args, "threads", None) is not None:
             cfg = resolve(dict(cfg, threads=args.threads))
     except ConfigError as e:

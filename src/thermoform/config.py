@@ -43,7 +43,6 @@ _SCHEMA = {
         "split_parts": (int, 32),
     },
     "output": {
-        "plot": ("bool", False),
         "threads": (int, 1),
     },
 }

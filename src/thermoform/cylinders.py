@@ -1,4 +1,4 @@
-"""Monotonicity partitions, itineraries, and order-preserving matchings.
+"""Monotonicity partitions and itineraries.
 
 The level-k partition cuts [0,1] at all solutions of f^j(x) in Crit for
 j < k, found by recursive pullback of the critical set through the monotone
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousPointError
 from .maps import IntervalMap
 
 ROOT_TOL = 1e-13
@@ -30,10 +29,6 @@ class Cylinder:
     def width(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class CylinderPartition:
@@ -47,14 +42,6 @@ class CylinderPartition:
 
     def __len__(self):
         return len(self.cylinders)
-
-
-@dataclass(frozen=True)
-class CylinderMatching:
-    level: int
-    pairs: tuple          # (index in A, index in B)
-    unmatched_a: tuple
-    unmatched_b: tuple
 
 
 def _preimages(m: IntervalMap, targets):
@@ -123,42 +110,6 @@ def partition(m: IntervalMap, k, max_depth=MAX_DEPTH) -> CylinderPartition:
         itin = _itinerary(m, 0.5 * (lo + hi), k)
         cyls.append(Cylinder(k, lo, hi, itin, flagged))
     return CylinderPartition(m, k, tuple(cyls))
-
-
-def cylinder_containing(part: CylinderPartition, x) -> Cylinder:
-    """The unique cylinder whose interior contains x."""
-    ends = part.endpoints
-    interior = ends[1:-1]
-    if interior.size and np.min(np.abs(interior - x)) < ROOT_TOL * 10:
-        raise AmbiguousPointError(f"{x} coincides with a partition endpoint")
-    if not (0.0 <= x <= 1.0):
-        raise AmbiguousPointError(f"{x} outside [0,1]")
-    idx = int(np.searchsorted(ends, x, side="right")) - 1
-    idx = min(max(idx, 0), len(part.cylinders) - 1)
-    return part.cylinders[idx]
-
-
-def match_partitions(a: CylinderPartition, b: CylinderPartition) -> CylinderMatching:
-    """Pair cylinders of equal level by identical itinerary.
-
-    The pairing is automatically order-preserving because itineraries are
-    realised by at most one cylinder per partition; partial matchings are
-    legal results for distant maps.
-    """
-    if a.level != b.level:
-        raise ValueError("partitions have different levels")
-    index_b = {c.itinerary: j for j, c in enumerate(b.cylinders)}
-    pairs, unmatched_a = [], []
-    used = set()
-    for i, c in enumerate(a.cylinders):
-        j = index_b.get(c.itinerary)
-        if j is None:
-            unmatched_a.append(i)
-        else:
-            pairs.append((i, j))
-            used.add(j)
-    unmatched_b = tuple(j for j in range(len(b.cylinders)) if j not in used)
-    return CylinderMatching(a.level, tuple(pairs), tuple(unmatched_a), unmatched_b)
 
 
 def partition_to_csv(part: CylinderPartition, path):

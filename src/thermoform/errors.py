@@ -18,7 +18,7 @@ class MapDomainEscapeError(ThermoformError):
 
 
 class SingularPotentialError(ThermoformError):
-    """phi_t requested within the critical clearance of a critical point."""
+    """A pullback orbit met a zero derivative, where -t*log|Df| is singular."""
 
 
 class AmbiguousPointError(ThermoformError):

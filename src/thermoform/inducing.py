@@ -53,8 +53,6 @@ class InducingScheme:
     coverage: float
     cset: tuple                # (domain id, interval lo, interval hi)
     lost_boundary: float       # base-length of partial-entry/thin pieces dropped
-    boundary_ok: bool
-    accumulation_ok: bool
 
     @property
     def base_width(self):
@@ -63,13 +61,6 @@ class InducingScheme:
     @property
     def taus(self):
         return np.array([b.tau for b in self.branches], dtype=int)
-
-    def branch_containing(self, x):
-        """Index of the branch whose interior contains x, or None (gap)."""
-        for i, b in enumerate(self.branches):
-            if b.lo < x < b.hi:
-                return i
-        return None
 
 
 def fatten(interval, delta):
@@ -161,11 +152,15 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta=0.1,
                 nword = word + (sym,)
                 if in_cset(ilo, ihi) and nhi > a0 + END_TOL and nlo < a1 - END_TOL:
                     if nlo <= a0 + END_TOL and nhi >= a1 - END_TOL:
-                        # Full return: the sub-piece covering the base is a branch.
+                        # Full return: the sub-piece covering the base is a
+                        # branch, unless its pullback is too thin to resolve.
                         xa, xb = m.pull_back(nword, (a0, a1), logs=False)[0].tolist()
                         blo, bhi = min(xa, xb), max(xa, xb)
-                        ext = _extension_ok(m, nword, fatten((a0, a1), delta))
-                        branches.append(Branch(blo, bhi, step, nword, ext))
+                        if bhi - blo > WIDTH_FLOOR:
+                            ext = _extension_ok(m, nword, fatten((a0, a1), delta))
+                            branches.append(Branch(blo, bhi, step, nword, ext))
+                        else:
+                            lost += bhi - blo
                         for glo, ghi in ((nlo, a0), (a1, nhi)):
                             if ghi - glo > WIDTH_FLOOR:
                                 nxt.append((glo, ghi, ilo, ihi, nword))
@@ -193,13 +188,11 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta=0.1,
             f"scheme coverage {coverage:.4f} below floor {COVERAGE_FLOOR}",
             LowCoverageWarning,
         )
-    boundary_ok = _boundary_condition(m, (a0, a1), len(base_itin))
-    scheme = InducingScheme(
+    return InducingScheme(
         m, a0, a1, base_itin, delta, n_max, tuple(branches), coverage,
         tuple((i, tower.domain(i).lo, tower.domain(i).hi) for i, _ in cset),
-        lost, boundary_ok, _accumulation_ok(branches, (a0, a1)),
+        lost,
     )
-    return scheme
 
 
 def _boundary_condition(m: IntervalMap, A, k, tol=1e-9):
@@ -213,24 +206,6 @@ def _boundary_condition(m: IntervalMap, A, k, tol=1e-9):
             x = float(m.f(x))
             if abs(x - a0) < tol or abs(x - a1) < tol:
                 return False
-    return True
-
-
-def _accumulation_ok(branches, A, frac=0.1):
-    """Desk proxy: every branch endpoint has another branch nearby."""
-    if len(branches) < 3:
-        return False
-    a0, a1 = A
-    tol = frac * (a1 - a0)
-    ends = sorted(
-        {e for b in branches for e in (b.lo, b.hi) if a0 + 1e-12 < e < a1 - 1e-12}
-    )
-    for i, e in enumerate(ends):
-        near = (i > 0 and e - ends[i - 1] <= tol) or (
-            i + 1 < len(ends) and ends[i + 1] - e <= tol
-        )
-        if not near:
-            return False
     return True
 
 
@@ -265,46 +240,6 @@ def choose_base(m: IntervalMap, tower: HofbauerTower, k, delta=0.1,
     raise BaseNotInTransitivePartError(
         f"no admissible level-{k} base cylinder (scanned {len(candidates)})"
     )
-
-
-def scheme_orbit_times(scheme: InducingScheme, x, depth):
-    """Successive inducing times (tau(x), tau(Fx), ...) up to `depth`.
-
-    Stops early when the orbit leaves the covered part of the base (gap or
-    truncated tail); the short sequence signals the truncation.
-    """
-    if not (scheme.base_lo <= x <= scheme.base_hi):
-        raise ValueError("point outside the base")
-    times = []
-    cur = x
-    for _ in range(depth):
-        i = scheme.branch_containing(cur)
-        if i is None:
-            break
-        b = scheme.branches[i]
-        times.append(b.tau)
-        for _ in range(b.tau):
-            cur = float(scheme.map.f(cur))
-        if not (scheme.base_lo - END_TOL <= cur <= scheme.base_hi + END_TOL):
-            break
-        cur = min(max(cur, scheme.base_lo), scheme.base_hi)
-    return times
-
-
-def distortion_report(scheme: InducingScheme, samples=5):
-    """Per-branch max/min of |DF| over sampled points; returns the max ratio."""
-    worst = 1.0
-    m = scheme.map
-    for b in scheme.branches:
-        xs = np.linspace(b.lo, b.hi, samples + 2)[1:-1]
-        logd = np.zeros_like(xs)
-        cur = xs.copy()
-        for _ in range(b.tau):
-            logd += np.log(np.abs(m.df(cur)))
-            cur = np.asarray(m.f(cur))
-        ratio = float(np.exp(np.max(logd) - np.min(logd)))
-        worst = max(worst, ratio)
-    return worst
 
 
 def scheme_to_csv(scheme: InducingScheme, path):

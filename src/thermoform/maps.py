@@ -1,4 +1,4 @@
-"""Interval-map families, derivatives, critical data, and the potential -t*log|Df|.
+"""Interval-map families, derivatives, critical data, and pullbacks that sum log|Df|.
 
 A map is a smooth (or piecewise-affine, for the exact tent oracles) self-map
 of [0,1] carrying its critical-point metadata.  All evaluation callables are
@@ -137,25 +137,6 @@ def eval_orbit(m: IntervalMap, x, n, clamp_tol=CLAMP_TOL):
         cur = min(max(cur, 0.0), 1.0)
         out[j + 1] = cur
     return out
-
-
-def potential_phi(m: IntervalMap, t, x, clearance=CRITICAL_CLEARANCE):
-    """The natural geometric potential -t*log|Df(x)|.
-
-    Errors inside the critical clearance instead of returning +-inf, so
-    callers must keep sample points away from singularities deliberately.
-    """
-    xa = np.asarray(x, dtype=float)
-    for c in m.critical_points:
-        if np.any(np.abs(xa - c.location) < clearance):
-            raise SingularPotentialError(
-                f"point within {clearance} of critical point {c.location}"
-            )
-    d = np.abs(m.df(xa))
-    if np.any(d == 0.0):
-        raise SingularPotentialError("zero derivative outside declared clearance")
-    out = -t * np.log(d)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
 def _corner_locations(*ms):

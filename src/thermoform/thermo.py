@@ -37,6 +37,7 @@ FIX_TOL = 1e-15
 FIX_ITERS = 200
 WORD_CAP = 2_000_000            # enumerate_words refuses more words
 VARIATION_WORDS = 1500          # words sampled per depth by variation_profile
+VARIATION_KMAX = 4              # depths gibbs_state passes to variation_profile
 CONFORMAL_CONTINUATIONS = 64    # continuations checked by conformality_report
 # gibbs_state stores the words of total time <= n_max + WEIGHT_SLACK, depth by
 # depth, up to the first depth with more than WEIGHT_WORD_LIMIT of them
@@ -472,8 +473,7 @@ class GibbsState:
     branch_mu: np.ndarray = field(repr=False)   # invariant branch masses, sum 1
     branch_m: np.ndarray = field(repr=False)    # conformal branch masses, sum 1
     words: tuple = field(repr=False)            # (n_k, k) word arrays, k = 1, 2, ...
-    cylinder_weights: np.ndarray = field(repr=False)  # anchored conformal masses
-    mu_weights: np.ndarray = field(repr=False)        # anchored invariant masses
+    mu_weights: np.ndarray = field(repr=False)  # anchored invariant masses
     weight_depth: int = 1
     weight_sums: tuple = ()
     gibbs_constant: float = 1.0
@@ -496,8 +496,7 @@ class GibbsState:
 
 
 def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
-                variation_kmax=6, pressure_tol=1e-4,
-                bracket=(-5.0, 5.0)) -> GibbsState:
+                pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
     """Pressure root, density, conformal/invariant cylinder weights on the
     scheme of the SpectralOperator `op`.
 
@@ -554,7 +553,7 @@ def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
 
     budget = scheme.n_max + WEIGHT_SLACK
     words = [np.arange(len(taus))[:, None]]
-    m_raw, mu_raw = [m_raw1], [mu_raw1]
+    depth_sums, mu_raw = [float(m_raw1.sum())], [mu_raw1]
     for k in range(2, weight_depth + 1):
         # Stop at the depth where complete enumeration stops being tractable;
         # stored depths then carry complete (budget-truncated) word sets.
@@ -565,21 +564,19 @@ def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
             break
         mk = np.exp(psi_eff(slk, ltk.astype(float), k))
         words.append(wk)
-        m_raw.append(mk)
+        depth_sums.append(float(mk.sum()))
         mu_raw.append(mk * op.interp(xfk, g))
 
-    depth_sums = [float(mk.sum()) for mk in m_raw]
     c_m = 1.0 / max(depth_sums)
     c_mu = 1.0 / float(mu_raw1.sum())
 
     pot = InducedPotential(scheme, float(t), s_star, taus, xf, slf)
-    var = variation_profile(scheme, pot, variation_kmax)
+    var = variation_profile(scheme, pot, VARIATION_KMAX)
 
     gs = GibbsState(
         scheme=scheme, t=float(t), pressure=s_star, log_lambda=log_lam,
         rho_grid=g, nu_grid=nu, branch_mu=branch_mu_op, branch_m=branch_m_op,
         words=tuple(words),
-        cylinder_weights=np.concatenate(m_raw) * c_m,
         mu_weights=np.concatenate(mu_raw) * c_mu,
         weight_depth=len(words),
         weight_sums=tuple(d * c_m for d in depth_sums),
@@ -799,25 +796,6 @@ def tau_mean_consistency(gs: GibbsState):
         _, _, _, masses = branch_children(gs, i, cap=100_000, coverage=1.0)
         d2 += float(taus[i]) * float(masses.sum())
     return abs(d2 - d1) / d1
-
-
-def gibbs_to_csv(gs: GibbsState, path):
-    """One row per stored word, words in lexicographic (tuple) order."""
-    depth = len(gs.words)
-    # Pad with -1 so a word sorts before its extensions, as tuples do.
-    padded = np.concatenate([
-        np.pad(w, ((0, 0), (0, depth - w.shape[1])), constant_values=-1)
-        for w in gs.words
-    ])
-    taus = gs.taus
-    with open(path, "w") as fh:
-        fh.write("word,tau_sum,weight,psi_k\n")
-        for r in np.lexsort(padded.T[::-1]):
-            w = padded[r][padded[r] >= 0]
-            mw = float(gs.cylinder_weights[r])
-            psi = math.log(mw) if mw > 0 else float("-inf")
-            fh.write(f"{'-'.join(map(str, w))},{int(taus[w].sum())},"
-                     f"{fmt12(mw)},{fmt12(psi)}\n")
 
 
 def measure_to_csv(mu: EquilibriumMeasure, path):

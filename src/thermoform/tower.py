@@ -9,8 +9,6 @@ the same domain.  Breadth-first from the base copy of [0,1] up to height R.
 from dataclasses import dataclass, field
 import warnings
 
-import numpy as np
-
 from .errors import (
     AmbiguousPointError,
     ComponentUndetectedError,
@@ -273,19 +271,6 @@ def tower_step(tower: HofbauerTower, x, domain_id, tol=1e-12):
                 )
             return float(tower.map.f(x)), tr.succ
     raise AmbiguousPointError(f"{x} not interior to any piece of domain {domain_id}")
-
-
-def match_tower_domains(a: HofbauerTower, b: HofbauerTower):
-    """Pair domains across towers by their min-level witness itinerary."""
-    key_b = {}
-    for d in b.domains:
-        key_b.setdefault(d.witnesses[0][1], d.id)
-    pairs = []
-    for d in a.domains:
-        j = key_b.get(d.witnesses[0][1])
-        if j is not None:
-            pairs.append((d.id, j))
-    return pairs
 
 
 def tower_to_dot(tower: HofbauerTower, path):

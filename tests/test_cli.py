@@ -42,6 +42,19 @@ def test_pressure_exit_ok(tmp_path):
     assert rows[0] == "t,pressure" and len(rows) == 2
 
 
+@pytest.mark.parametrize("command, name, header", [
+    ("partition", "partition.csv", "level,index,left,right,itinerary"),
+    ("tower", "tower.dot", "digraph hofbauer {"),
+    ("induce", "scheme.csv", "index,left,right,tau,itinerary"),
+    ("equilibrium", "equilibrium_t1.csv", "bin_left,mass"),
+])
+def test_command_exit_ok(tmp_path, command, name, header):
+    assert run_cli(tmp_path, command, TENT2) == 0
+    out = tmp_path / "out"
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text().splitlines()[0] == header
+
+
 def test_config_errors_exit_2(tmp_path):
     assert run_cli(tmp_path, "pressure", {"experiment": {"family": "nope"}}) == 2
     # a key nothing reads is refused, not ignored
@@ -53,6 +66,12 @@ def test_config_errors_exit_2(tmp_path):
                    dict(TENT2, gibbs={"tail_allowance": 0.05})) == 2
     assert run_cli(tmp_path, "stability",
                    dict(TENT19, gibbs={"variation_kmax": 4})) == 2
+    assert run_cli(tmp_path, "equilibrium",
+                   dict(TENT2, output={"plot": "on"})) == 2
+    cfg = write_config(tmp_path / "config.ini", TENT2)
+    with pytest.raises(SystemExit) as exc:
+        main(["equilibrium", "--config", cfg, "--plot"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command, section, key, value", [

@@ -26,7 +26,7 @@ def test_defaults_match_schema(tmp_path):
             assert key not in want, f"{key} in two sections"
             want[key] = default
     assert DEFAULTS == want
-    assert len(DEFAULTS) == 24
+    assert len(DEFAULTS) == 23
     cfg = load_config(write(tmp_path, "[experiment]\nfamily = cheb\n"), env={})
     assert cfg == dict(DEFAULTS, family="cheb")
 
@@ -51,10 +51,12 @@ def test_unknown_section_and_key(tmp_path):
 def test_bool_and_float_list_parsing(tmp_path):
     cfg = load_config(write(tmp_path, (
         "[experiment]\nfamily = cheb\nrequire_boundary = yes\n"
-        "t_values = 0.5, 1.0 1.25\n[output]\nplot = off\n")), env={})
+        "t_values = 0.5, 1.0 1.25\n")), env={})
     assert cfg["require_boundary"] is True
-    assert cfg["plot"] is False
     assert cfg["t_values"] == (0.5, 1.0, 1.25)
+    cfg = load_config(write(tmp_path, "[experiment]\nfamily = cheb\n"
+                                      "require_boundary = off\n"), env={})
+    assert cfg["require_boundary"] is False
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(write(tmp_path, "[experiment]\nfamily = cheb\n"
                                     "require_boundary = maybe\n"), env={})

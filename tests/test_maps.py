@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thermoform.errors import ConfigError, MapDomainEscapeError, SingularPotentialError
 from thermoform.maps import (
@@ -13,7 +11,6 @@ from thermoform.maps import (
     eval_orbit,
     growth_margin,
     make_map,
-    potential_phi,
     validate_map,
 )
 
@@ -45,41 +42,6 @@ def test_orbit_escape_guard():
     object.__setattr__(bad, "f", lambda x: np.asarray(x, dtype=float) + 1.5)
     with pytest.raises(MapDomainEscapeError):
         eval_orbit(bad, 0.3, 3)
-
-
-def test_phi_constant_slope(tent2):
-    for x in (0.1, 0.3, 0.7, 0.9):
-        assert potential_phi(tent2, 1.0, x) == pytest.approx(-math.log(2), abs=1e-14)
-
-
-def test_phi_cheb_values(cheb):
-    assert potential_phi(cheb, 1.0, 0.0) == pytest.approx(-math.log(4), abs=1e-14)
-    # |f'(0.25)| = 4 - 8*0.25 = 2
-    assert potential_phi(cheb, 0.9, 0.25) == pytest.approx(-0.9 * math.log(2), abs=1e-14)
-
-
-def test_phi_zero_at_t0(cheb, tent19):
-    for m in (cheb, tent19):
-        xs = np.linspace(0.01, 0.99, 37)
-        xs = xs[np.abs(xs - 0.5) > 1e-6]
-        assert np.all(potential_phi(m, 0.0, xs) == 0.0)
-
-
-@given(t1=st.floats(-3, 3), t2=st.floats(-3, 3),
-       x=st.floats(0.01, 0.99))
-@settings(max_examples=60, deadline=None)
-def test_phi_linear_in_t(t1, t2, x):
-    m = make_map("cheb")
-    if abs(x - 0.5) < 1e-9:
-        return
-    lhs = potential_phi(m, t1 + t2, x)
-    rhs = potential_phi(m, t1, x) + potential_phi(m, t2, x)
-    assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
-
-
-def test_phi_singular_clearance(cheb):
-    with pytest.raises(SingularPotentialError):
-        potential_phi(cheb, 1.0, 0.5 + 1e-14)
 
 
 def test_c2_identity(tent19):

@@ -19,7 +19,6 @@ from thermoform.thermo import (
     enumerate_words,
     gibbs_sandwich_report,
     gibbs_state,
-    gibbs_to_csv,
     induced_potential,
     invariance_residual,
     measure_to_csv,
@@ -32,7 +31,7 @@ from thermoform.thermo import (
     zk_sum,
 )
 from thermoform.util import bisect_monotone
-from tests.conftest import cheb_acip_bin_masses, gibbs_for
+from tests.conftest import cheb_acip_bin_masses
 
 LOG2 = math.log(2.0)
 
@@ -142,7 +141,7 @@ def test_zk_single_branch_power():
     scheme = InducingScheme(
         m, 0.0, 0.5, (0,), 0.1, 1,
         (Branch(0.0, 0.25, 1, (0,), True),), 0.5, ((0, 0.0, 1.0),),
-        0.0, True, False,
+        0.0,
     )
     op = SpectralOperator(scheme)
     pot = induced_potential(op, 1.0, 0.0)
@@ -285,7 +284,7 @@ def test_non_contracting_branch_detected():
     scheme = InducingScheme(
         fake, 0.0, 0.9, (0,), 0.1, 1,
         (Branch(0.0, 0.9, 1, (0,), True),), 1.0, ((0, 0.0, 1.0),),
-        0.0, True, False,
+        0.0,
     )
     with pytest.raises(BranchNotContractingError):
         periodic_anchors(scheme, [(0,)])
@@ -425,10 +424,7 @@ def test_tau_mean_consistency(tent2_gibbs, cheb_gibbs):
     assert tau_mean_consistency(cheb_gibbs) < 0.01
 
 
-def test_csv_dumps(tmp_path, tent2_gibbs, tent2_equilibrium):
-    gpath = tmp_path / "gibbs.csv"
-    gibbs_to_csv(tent2_gibbs, gpath)
-    assert gpath.read_text().startswith("word,tau_sum,weight,psi_k")
+def test_csv_dumps(tmp_path, tent2_equilibrium):
     mpath = tmp_path / "measure.csv"
     measure_to_csv(tent2_equilibrium, mpath)
     lines = mpath.read_text().strip().splitlines()

@@ -12,12 +12,10 @@ from thermoform.tower import (
     HofbauerTower,
     TowerDomain,
     build_tower,
-    match_tower_domains,
     tower_step,
     tower_to_dot,
     transitive_component,
 )
-from tests.conftest import cylinder_by_itinerary
 from thermoform.cylinders import partition
 
 
@@ -214,9 +212,13 @@ def test_tower_stability_under_perturbation(tent19_tower):
     for s in (1.905, 1.902, 1.901):
         other = build_tower(make_map("tent", {"s": s}), 8)
         transitive_component(other)
-        pairs = match_tower_domains(tent19_tower, other)
+        # pair domains by their min-level witness itinerary
+        ids = {}
+        for d in other.domains:
+            ids.setdefault(d.witnesses[0][1], d.id)
         trans_pairs = [
-            (a, b) for a, b in pairs if a in tent19_tower.transitive_ids
+            (d.id, ids[d.witnesses[0][1]]) for d in tent19_tower.domains
+            if d.id in tent19_tower.transitive_ids and d.witnesses[0][1] in ids
         ]
         assert trans_pairs
         worst = 0.0
