@@ -10,7 +10,7 @@ import sys
 
 from .config import gibbs_kwargs, load_config, resolve
 from .cylinders import partition, partition_to_csv
-from .density import lyapunov, measure_density
+from .density import lyapunov
 from .errors import ConfigError, ThermoformError
 from .inducing import build_scheme, choose_base, scheme_to_csv
 from .maps import make_member
@@ -88,7 +88,7 @@ def cmd_equilibrium(cfg, out):
         tag = fmt12(t).replace(".", "p")
         path = os.path.join(out, f"equilibrium_t{tag}.csv")
         measure_to_csv(mu, path)
-        lam = lyapunov(m, measure_density(mu))
+        lam = lyapunov(m, mu)
         print(f"t={fmt12(t)} P={fmt12(gs.pressure)} tau_mean={fmt12(mu.tau_mean)} "
               f"lyapunov={fmt12(lam)} K={fmt12(gs.gibbs_constant)} -> {path}")
     return 0

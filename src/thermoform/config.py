@@ -38,8 +38,6 @@ _SCHEMA = {
     },
     "gibbs": {
         "weight_depth": (int, 4),
-        "rho_tol": (float, 1e-8),
-        "rho_iters": (int, 1000),
         "split_parts": (int, 32),
     },
     "output": {
@@ -128,8 +126,6 @@ def gibbs_kwargs(v) -> dict:
     """gibbs_state's keyword arguments from resolved config values."""
     return {
         "weight_depth": v["weight_depth"],
-        "rho_tol": v["rho_tol"],
-        "rho_iters": v["rho_iters"],
         "pressure_tol": v["tol"],
         "bracket": (v["bracket_lo"], v["bracket_hi"]),
     }
@@ -142,12 +138,12 @@ def _validate(v):
         raise ConfigError(
             f"unknown family '{v['family']}'; registry: {sorted(FAMILIES)}"
         )
-    for key in ("delta", "tol", "rho_tol"):
+    for key in ("delta", "tol"):
         if v[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     for key, least in (("height", 1), ("grid", 2), ("bins", 1),
                        ("split_parts", 1), ("n_max", 1), ("weight_depth", 1),
-                       ("rho_iters", 1), ("max_domains", 1), ("threads", 1)):
+                       ("max_domains", 1), ("threads", 1)):
         if v[key] < least:
             raise ConfigError(f"{key} must be >= {least}")
     if not 0 <= v["base_depth"] <= MAX_DEPTH:

@@ -7,8 +7,6 @@ level-1 branches.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .maps import IntervalMap
 
 ROOT_TOL = 1e-13
@@ -35,10 +33,6 @@ class CylinderPartition:
     map: IntervalMap
     level: int
     cylinders: tuple
-
-    @property
-    def endpoints(self):
-        return np.array([c.lo for c in self.cylinders] + [self.cylinders[-1].hi])
 
     def __len__(self):
         return len(self.cylinders)

@@ -36,10 +36,6 @@ class Branch:
     def width(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class InducingScheme:

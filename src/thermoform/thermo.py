@@ -15,7 +15,6 @@ calls came before it.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 import math
 import warnings
 
@@ -39,6 +38,7 @@ WORD_CAP = 2_000_000            # enumerate_words refuses more words
 VARIATION_WORDS = 1500          # words sampled per depth by variation_profile
 VARIATION_KMAX = 4              # depths gibbs_state passes to variation_profile
 CONFORMAL_CONTINUATIONS = 64    # continuations checked by conformality_report
+TIE_RTOL = 1e-12                # masses this close count as equal in _strongest
 # gibbs_state stores the words of total time <= n_max + WEIGHT_SLACK, depth by
 # depth, up to the first depth with more than WEIGHT_WORD_LIMIT of them
 WEIGHT_SLACK = 8
@@ -207,7 +207,7 @@ def induced_potential(op, t, s) -> InducedPotential:
     bad = sum(1 for b in scheme.branches if not b.extension_ok)
     if bad:
         warnings.warn(f"{bad} branches lack the extension margin", UserWarning)
-    xf, slf = op.orbit
+    _, xf, slf, _ = op.word_data(1, None)
     return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf)
 
 
@@ -294,8 +294,8 @@ class SpectralOperator:
     Branch pullbacks and orbit sums are (t, s)-independent; one assembly
     serves the whole potential family.  The caller builds one operator per
     scheme and passes it to pressure_estimate, solve_pressure and
-    gibbs_state; it also holds the scheme's branch anchors (`orbit`) and a
-    memo of word data (`word_data`), and is freed with the caller's
+    gibbs_state; it also holds a memo of word data (`word_data`, whose
+    depth-1 words are the branch anchors), and is freed with the caller's
     reference.  No (t, s) state is kept between calls.
     """
 
@@ -313,13 +313,6 @@ class SpectralOperator:
         self.idx = np.clip(np.floor(pos).astype(int), 0, G - 2)
         self.frac = np.clip(pos - self.idx, 0.0, 1.0)
         self._words = {}
-
-    @cached_property
-    def orbit(self):
-        """(x_fix, sumlog_fix) for the single-branch words."""
-        xf, slf, _ = periodic_anchors(
-            self.scheme, np.arange(len(self.scheme.branches))[:, None])
-        return xf, slf
 
     def word_data(self, k, budget):
         """(words, x_fix, sumlog, total_tau) of the k-words with total time
@@ -495,51 +488,29 @@ class GibbsState:
                 - k * self.log_lambda)
 
 
-def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
-                pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
+def gibbs_state(op, t, weight_depth=4, pressure_tol=1e-4,
+                bracket=(-5.0, 5.0)) -> GibbsState:
     """Pressure root, density, conformal/invariant cylinder weights on the
     scheme of the SpectralOperator `op`.
 
-    The density solves L_Psi rho = lambda rho on the base grid, iterating
-    from rho = 1 until the successive sup-distance drops below rho_tol;
-    lambda is folded into the normalised potential so stored weights satisfy
-    the Gibbs property with zero pressure.  The stored words are complete
-    (budget-truncated) word sets, one array per depth, and the weight arrays
-    run over them depth by depth.
+    The density rho and lambda are the leading eigenpair of L_Psi on the
+    base grid at the pressure root, from SpectralOperator.eigen (which
+    raises TransferOperatorDivergedError at its iteration cap); lambda is
+    folded into the normalised potential so stored weights satisfy the Gibbs
+    property with zero pressure.  The stored words are complete
+    (budget-truncated) word sets, one array per depth from depth 1, and the
+    weight arrays run over them depth by depth.
     """
     scheme = op.scheme
     s_star = solve_pressure(op, t, bracket=bracket, tol=pressure_tol)
+    lam, g = op.eigen(t, s_star)
     W = op.weights(t, s_star)
-    g = np.ones(len(op.xs))
-    lam = 1.0
-    converged = False
-    for _ in range(rho_iters):
-        gn = op.apply(g, W)
-        lam = float(gn.sum() / g.sum())
-        gn /= lam
-        if float(np.max(np.abs(gn - g))) < rho_tol:
-            g = gn
-            converged = True
-            break
-        g = gn
-    if not converged:
-        raise TransferOperatorDivergedError(
-            f"rho iteration not converged in {rho_iters} steps"
-        )
     log_lam = math.log(lam)
     # Conformal measure as cell masses: left eigenvector of the same matrix.
     _, nu = op.left_eigen(W)
     # Normalise rho so that int rho dm = 1 on the grid.
     g = g / float((nu * g).sum())
 
-    xf, slf = op.orbit
-    taus = scheme.taus
-
-    def psi_eff(sumlog, total, k):
-        return -t * sumlog - s_star * total - k * log_lam
-
-    m_raw1 = np.exp(psi_eff(slf, taus.astype(float), 1))
-    mu_raw1 = m_raw1 * op.interp(xf, g)
     # Operator-quadrature branch masses: mu(X_i) = sum_l nu_l W_il rho(y_il),
     # m(X_i) = sum_l nu_l W_il (exact up to grid interpolation; the anchored
     # word weights keep the Z_k bookkeeping but are 1-point estimates).
@@ -552,25 +523,25 @@ def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
     branch_m_op = branch_m_op / m_norm
 
     budget = scheme.n_max + WEIGHT_SLACK
-    words = [np.arange(len(taus))[:, None]]
-    depth_sums, mu_raw = [float(m_raw1.sum())], [mu_raw1]
-    for k in range(2, weight_depth + 1):
+    words, depth_sums, mu_raw = [], [], []
+    for k in range(1, weight_depth + 1):
         # Stop at the depth where complete enumeration stops being tractable;
         # stored depths then carry complete (budget-truncated) word sets.
-        if count_words(scheme, k, budget) > WEIGHT_WORD_LIMIT:
+        if k > 1 and count_words(scheme, k, budget) > WEIGHT_WORD_LIMIT:
             break
         wk, xfk, slk, ltk = op.word_data(k, budget)
         if not len(wk):
             break
-        mk = np.exp(psi_eff(slk, ltk.astype(float), k))
+        mk = np.exp(-t * slk - s_star * ltk.astype(float) - k * log_lam)
         words.append(wk)
         depth_sums.append(float(mk.sum()))
         mu_raw.append(mk * op.interp(xfk, g))
 
     c_m = 1.0 / max(depth_sums)
-    c_mu = 1.0 / float(mu_raw1.sum())
+    c_mu = 1.0 / float(mu_raw[0].sum())
 
-    pot = InducedPotential(scheme, float(t), s_star, taus, xf, slf)
+    _, xf, slf, _ = op.word_data(1, budget)
+    pot = InducedPotential(scheme, float(t), s_star, scheme.taus, xf, slf)
     var = variation_profile(scheme, pot, VARIATION_KMAX)
 
     gs = GibbsState(
@@ -587,51 +558,64 @@ def gibbs_state(op, t, weight_depth=4, rho_tol=1e-8, rho_iters=1000,
     return gs
 
 
-def _cell_cumulative(gs: GibbsState, cell_masses):
-    """Cumulative mass function of per-cell masses on the base grid."""
+def _masses_between(gs: GibbsState, cell_masses, lo, hi):
+    """Per row of `cell_masses` (one row per branch, one column per base
+    cell), the mass between the base points lo and hi, linear inside a cell:
+    a (branches, len(lo)) array."""
     op = gs._op
     h = op.xs[1] - op.xs[0]
     edges0 = op.xs[0] - 0.5 * h
-    cum = np.concatenate([[0.0], np.cumsum(cell_masses)])
+    G = cell_masses.shape[1]
+    cum = np.cumsum(cell_masses, axis=1)
+    cum = np.concatenate([np.zeros((len(cum), 1)), cum], axis=1)
 
     def M(x):
-        pos = np.clip((np.asarray(x, dtype=float) - edges0) / h,
-                      0.0, len(cell_masses))
-        cell = np.minimum(pos.astype(int), len(cell_masses) - 1)
-        return cum[cell] + cell_masses[cell] * (pos - cell)
+        pos = np.clip((np.asarray(x, dtype=float) - edges0) / h, 0.0, G)
+        cell = np.minimum(pos.astype(int), G - 1)
+        return cum[:, cell] + cell_masses[:, cell] * (pos - cell)
 
-    return M
+    return M(hi) - M(lo)
 
 
-def branch_children(gs: GibbsState, i, cap=200, coverage=0.995):
-    """Depth-2 refinement of branch i: child intervals and masses.
+def _strongest(masses, cap, coverage):
+    """Sorted indices of the heaviest entries: the fewest whose total reaches
+    `coverage`, at most `cap`, and then every entry within TIE_RTOL
+    (relative) of the last one kept, so that rounding never splits a group
+    of equal masses."""
+    order = np.argsort(-masses, kind="stable")
+    total = np.cumsum(masses[order])
+    keep = min(len(order), cap, int(np.searchsorted(total, coverage)) + 1)
+    last = masses[order[keep - 1]]
+    keep = max(keep, int(np.count_nonzero(masses >= last * (1.0 - TIE_RTOL))))
+    return np.sort(order[:keep])
 
-    The branch's invariant mass is distributed over its continuations by
-    slicing the operator-quadrature cell masses mu_i(dy) = nu(dy) W_i(y)
-    rho(y_i) along the continuation intervals.  Children are the strongest
-    continuations (deterministic order); mass not captured by them is the
-    caller's remainder.
+
+def branch_children(gs: GibbsState, cap=200, coverage=0.995):
+    """Depth-2 refinement of every branch: (sel, lo, hi, masses).
+
+    The kept continuations `sel` are the same for every branch (_strongest
+    of the invariant branch masses).  Row i of the (branches, len(sel))
+    arrays lo, hi holds the pullbacks of the continuations X_j through
+    branch i, and row i of masses slices branch i's invariant mass, the
+    operator-quadrature cell masses mu_i(dy) = nu(dy) W_i(y) rho(y_i), along
+    the continuations.  Mass not captured is the caller's remainder.
     """
     scheme = gs.scheme
-    # mu-mass profile of branch i over base cells, rescaled to the stored mass
-    c = gs.nu_grid * gs._W[i] * gs._GY[i]
-    csum = float(c.sum())
-    if csum > 0:
-        c = c * (float(gs.branch_mu[i]) / csum)
-    M = _cell_cumulative(gs, c)
-    order = np.argsort(-gs.branch_mu, kind="stable")
-    total = np.cumsum(gs.branch_mu[order])
-    keep = min(len(order), cap, int(np.searchsorted(total, coverage)) + 1)
-    sel = np.sort(order[:keep])
+    sel = _strongest(gs.branch_mu, cap, coverage)
     los = np.array([scheme.branches[j].lo for j in sel])
     his = np.array([scheme.branches[j].hi for j in sel])
-    masses = M(his) - M(los)
+    # mu-mass profiles over base cells, each rescaled to its stored mass
+    c = gs.nu_grid * gs._W * gs._GY
+    csum = c.sum(axis=1)
+    c *= np.divide(gs.branch_mu, csum, out=np.ones_like(csum),
+                   where=csum > 0)[:, None]
+    masses = _masses_between(gs, c, los, his)
     # geometry: the refinement piece is the pullback of X_j through branch i
-    pts, _ = scheme.map.pull_back(scheme.branches[i].itinerary,
-                                  np.concatenate([los, his]), logs=False)
-    nc = len(sel)
-    lo = np.minimum(pts[:nc], pts[nc:])
-    hi = np.maximum(pts[:nc], pts[nc:])
+    B, nc = len(scheme.branches), len(sel)
+    pts, _ = _pull_words(scheme, np.arange(B)[:, None],
+                         np.tile(np.concatenate([los, his]), (B, 1)), logs=False)
+    lo = np.minimum(pts[:, :nc], pts[:, nc:])
+    hi = np.maximum(pts[:, :nc], pts[:, nc:])
     return sel, lo, hi, masses
 
 
@@ -675,8 +659,9 @@ def project_measure(scheme, gs: GibbsState, bins=4096,
         warnings.warn("tau-mean exceeds 1e3; tail truncation dominates",
                       ProjectionUnstableWarning)
     fracs = np.linspace(0.0, 1.0, split_parts + 1)
+    _, children_lo, children_hi, children_mass = branch_children(gs, cap=cap)
     for i, b in enumerate(scheme.branches):
-        sel, clo, chi, masses = branch_children(gs, i, cap=cap)
+        clo, chi, masses = children_lo[i], children_hi[i], children_mass[i]
         leftover = max(float(gs.branch_mu[i]) - float(masses.sum()), 0.0)
         # Remainder mass lives in the complement of the kept children (deep
         # continuations cluster there); spread it over those gaps by length.
@@ -743,26 +728,20 @@ def conformality_report(gs: GibbsState):
     conformal mass profile of C_ij.  Returns the worst relative error.
     """
     scheme = gs.scheme
-    m = scheme.map
-    taus = gs.taus
-    order = np.argsort(-gs.branch_m, kind="stable")
-    conts = np.sort(order[:CONFORMAL_CONTINUATIONS])
+    conts = _strongest(gs.branch_m, CONFORMAL_CONTINUATIONS, 1.0)
     los = np.array([scheme.branches[j].lo for j in conts])
     his = np.array([scheme.branches[j].hi for j in conts])
     lhs = float(gs.branch_m[conts].sum())
-    worst = 0.0
-    for i in range(len(scheme.branches)):
-        # conformal mass profile of branch i over base cells
-        cm = gs.nu_grid * gs._W[i]
-        M = _cell_cumulative(gs, cm)
-        piece_m = M(his) - M(los)
-        quad = los[:, None] + np.array([0.25, 0.5, 0.75]) * (his - los)[:, None]
-        _, logd = m.pull_back(scheme.branches[i].itinerary, quad.ravel())
-        psi1 = gs.psi_eff(logd.reshape(len(conts), 3), float(taus[i]), 1)
-        # piece_m is in raw operator units; bring it to branch_m's scale
-        rhs = float(np.sum(np.exp(-psi1).mean(axis=1) * piece_m)) / gs._m_norm
-        worst = max(worst, abs(lhs - rhs) / lhs)
-    return worst
+    # conformal masses of the pieces, in raw operator units
+    piece_m = _masses_between(gs, gs.nu_grid * gs._W, los, his)
+    quad = los[:, None] + np.array([0.25, 0.5, 0.75]) * (his - los)[:, None]
+    B = len(scheme.branches)
+    _, logd = _pull_words(scheme, np.arange(B)[:, None],
+                          np.tile(quad.ravel(), (B, 1)))
+    psi1 = gs.psi_eff(logd.reshape(B, len(conts), 3),
+                      gs.taus[:, None, None].astype(float), 1)
+    rhs = (np.exp(-psi1).mean(axis=2) * piece_m).sum(axis=1) / gs._m_norm
+    return float((np.abs(lhs - rhs) / lhs).max())
 
 
 def gibbs_sandwich_report(gs: GibbsState, depth=None):
@@ -791,10 +770,8 @@ def tau_mean_consistency(gs: GibbsState):
     measured separately, so the gap quantifies refinement truncation)."""
     taus = gs.taus
     d1 = float((gs.branch_mu * taus).sum())
-    d2 = 0.0
-    for i in range(len(gs.scheme.branches)):
-        _, _, _, masses = branch_children(gs, i, cap=100_000, coverage=1.0)
-        d2 += float(taus[i]) * float(masses.sum())
+    _, _, _, masses = branch_children(gs, cap=100_000, coverage=1.0)
+    d2 = float((taus * masses.sum(axis=1)).sum())
     return abs(d2 - d1) / d1
 
 

@@ -118,50 +118,41 @@ def build_tower(m: IntervalMap, R, max_domains=MAX_DOMAINS) -> HofbauerTower:
     """Breadth-first tower up to height R (path length from the base copy).
 
     Deterministic given the identification tolerance: domains are created in
-    BFS order; a final pass records every edge between constructed domains.
+    BFS order, each domain's transitions and edges are recorded as it is
+    split, and the domains of height R link only to domains already built.
     """
     if R < 1:
         raise ValueError("height cap must be >= 1")
     table = _DomainTable()
-    base = TowerDomain(0, 0.0, 1.0, 0, [(0, ())])
-    table.insert(base)
+    table.insert(TowerDomain(0, 0.0, 1.0, 0, [(0, ())]))
+    transitions, edges = {}, {}
     frontier = [0]
-    for level in range(1, R + 1):
+    for level in range(1, R + 2):
         nxt = []
         for did in frontier:
             dom = table.items[did]
             wit_level, wit_itin = dom.witnesses[0]
+            trs = []
             for a, b, sym, ilo, ihi in split_at_criticals(m, dom.lo, dom.hi):
                 if ihi - ilo <= IDENT_TOL:
                     continue  # degenerate image (piece endpoints identified)
                 idx = table.find(ilo, ihi)
-                if idx is None:
-                    if len(table.items) >= max_domains:
-                        raise TowerTooLargeError(
-                            f"domain count exceeded {max_domains} at height {level}"
-                        )
-                    new = TowerDomain(len(table.items), ilo, ihi, level, [])
-                    table.insert(new)
-                    idx = new.id
-                    nxt.append(idx)
-                child = table.items[idx]
-                if len(child.witnesses) < _WITNESS_CAP:
-                    child.witnesses.append((wit_level + 1, wit_itin + (sym,)))
+                if level <= R:
+                    if idx is None:
+                        if len(table.items) >= max_domains:
+                            raise TowerTooLargeError(
+                                f"domain count exceeded {max_domains} at height {level}"
+                            )
+                        idx = table.insert(
+                            TowerDomain(len(table.items), ilo, ihi, level, []))
+                        nxt.append(idx)
+                    child = table.items[idx]
+                    if len(child.witnesses) < _WITNESS_CAP:
+                        child.witnesses.append((wit_level + 1, wit_itin + (sym,)))
+                trs.append(Transition(a, b, sym, idx, ilo, ihi))
+            transitions[did] = trs
+            edges[did] = tuple(sorted({tr.succ for tr in trs} - {None}))
         frontier = nxt
-    # Second pass: transitions and the complete edge set between built domains.
-    transitions, edges = {}, {}
-    for dom in table.items:
-        trs = []
-        succs = set()
-        for a, b, sym, ilo, ihi in split_at_criticals(m, dom.lo, dom.hi):
-            if ihi - ilo <= IDENT_TOL:
-                continue
-            idx = table.find(ilo, ihi)
-            trs.append(Transition(a, b, sym, idx, ilo, ihi))
-            if idx is not None:
-                succs.add(idx)
-        transitions[dom.id] = trs
-        edges[dom.id] = tuple(sorted(succs))
     return HofbauerTower(m, R, table.items, transitions, edges)
 
 

@@ -68,6 +68,10 @@ def test_config_errors_exit_2(tmp_path):
                    dict(TENT19, gibbs={"variation_kmax": 4})) == 2
     assert run_cli(tmp_path, "equilibrium",
                    dict(TENT2, output={"plot": "on"})) == 2
+    # the density comes from the operator's own eigen solve
+    for key, value in (("rho_tol", 1e-8), ("rho_iters", 1000)):
+        assert run_cli(tmp_path, "equilibrium",
+                       dict(TENT2, gibbs={key: value})) == 2
     cfg = write_config(tmp_path / "config.ini", TENT2)
     with pytest.raises(SystemExit) as exc:
         main(["equilibrium", "--config", cfg, "--plot"])
@@ -83,7 +87,6 @@ def test_config_errors_exit_2(tmp_path):
     ("partition", "experiment", "base_depth", 21),
     ("induce", "experiment", "n_max", 0),
     ("equilibrium", "gibbs", "weight_depth", 0),
-    ("equilibrium", "gibbs", "rho_iters", 0),
     ("tower", "tower", "max_domains", 0),
     ("stability", "output", "threads", 0),
 ])

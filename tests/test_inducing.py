@@ -132,7 +132,7 @@ def test_return_correctness_on_tower(tent19):
     cset_ids = {i for i, _, _ in scheme.cset}
     start = sorted(cset_ids)[0]
     for b in scheme.branches:
-        x, d = b.midpoint, start
+        x, d = 0.5 * (b.lo + b.hi), start
         hit_cap = False
         for j in range(1, b.tau + 1):
             try:
