@@ -54,7 +54,8 @@ class PressureUnbracketedError(ThermoformError):
 
 
 class TransferOperatorDivergedError(ThermoformError):
-    """Density iteration did not converge within the iteration cap."""
+    """Power iteration for the leading eigenvector (density or conformal
+    masses) did not converge within the iteration cap."""
 
 
 class TailUnderresolvedError(ThermoformError):

@@ -30,7 +30,6 @@ class Branch:
     hi: float
     tau: int
     itinerary: tuple      # level-1 branch symbols along the branch orbit
-    extension_ok: bool
 
     @property
     def width(self):
@@ -85,32 +84,15 @@ def check_set(tower: HofbauerTower, A, delta, tol=IDENT_TOL):
     return out
 
 
-def _extension_ok(m: IntervalMap, word, ext_interval, tol=1e-12):
-    """Does the branch extend diffeomorphically over the fattened base?
-
-    Pull the fattened interval back through the word and demand each step's
-    target stays inside the image of the step's level-1 branch.
-    """
-    lo, hi = ext_interval
-    for sym in reversed(word):
-        blo, bhi = m.branch_interval(sym)
-        va, vb = float(m.f(blo)), float(m.f(bhi))
-        ilo, ihi = min(va, vb), max(va, vb)
-        if lo < ilo - tol or hi > ihi + tol:
-            return False
-        a = float(m.invert(sym, lo))
-        b = float(m.invert(sym, hi))
-        lo, hi = min(a, b), max(a, b)
-    return True
-
-
-def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta=0.1,
-                 n_max=25) -> InducingScheme:
+def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta,
+                 n_max) -> InducingScheme:
     """Enumerate the first-return branches to the fattened-base target set.
 
     `base` is a Cylinder (or (lo, hi, itinerary) triple).  Each emitted
     branch maps diffeomorphically onto the base after exactly tau steps with
-    the intermediate tower lift outside the target set.  Deterministic.
+    the intermediate tower lift outside the target set.  Its return domain
+    is a check-set domain, which contains fatten(base, delta), so the branch
+    extends monotonically over the fattened base.  Deterministic.
     """
     if isinstance(base, Cylinder):
         a0, a1, base_itin = base.lo, base.hi, base.itinerary
@@ -153,8 +135,7 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta=0.1,
                         xa, xb = m.pull_back(nword, (a0, a1), logs=False)[0].tolist()
                         blo, bhi = min(xa, xb), max(xa, xb)
                         if bhi - blo > WIDTH_FLOOR:
-                            ext = _extension_ok(m, nword, fatten((a0, a1), delta))
-                            branches.append(Branch(blo, bhi, step, nword, ext))
+                            branches.append(Branch(blo, bhi, step, nword))
                         else:
                             lost += bhi - blo
                         for glo, ghi in ((nlo, a0), (a1, nhi)):

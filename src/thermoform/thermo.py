@@ -7,11 +7,12 @@ data (sum of log|Df| and total time), so pressure root-finding reuses one
 enumeration.
 
 Words of depth k are (n, k) int arrays of branch indices.  The per-scheme
-state (assembled transfer operator, branch anchors, word data) lives in one
-SpectralOperator that the caller builds for each scheme and passes to
-pressure_estimate, solve_pressure and gibbs_state.  Nothing is kept at
-module level, so a result depends on (scheme, grid, t) and not on which
-calls came before it.
+state (the branch pullbacks of the base grid with their orbit sums, and the
+memo of word data) lives in one SpectralOperator that the caller builds for
+each scheme and passes to pressure_estimate, solve_pressure and
+gibbs_state; the operator matrix is assembled from it for each (t, s).
+Nothing is kept at module level, so a result depends on (scheme, grid, t)
+and not on which calls came before it.
 """
 
 from dataclasses import dataclass, field
@@ -204,9 +205,6 @@ def induced_potential(op, t, s) -> InducedPotential:
     """Branch potential data at the branch fixed points, from the orbit data
     held by the scheme's SpectralOperator `op`."""
     scheme = op.scheme
-    bad = sum(1 for b in scheme.branches if not b.extension_ok)
-    if bad:
-        warnings.warn(f"{bad} branches lack the extension margin", UserWarning)
     _, xf, slf, _ = op.word_data(1, None)
     return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf)
 
@@ -291,28 +289,38 @@ class SpectralOperator:
     y_i the branch-i preimage of x, discretised on base cell centers with
     linear interpolation of g.
 
-    Branch pullbacks and orbit sums are (t, s)-independent; one assembly
-    serves the whole potential family.  The caller builds one operator per
-    scheme and passes it to pressure_estimate, solve_pressure and
-    gibbs_state; it also holds a memo of word data (`word_data`, whose
-    depth-1 words are the branch anchors), and is freed with the caller's
-    reference.  No (t, s) state is kept between calls.
+    Branch pullbacks and orbit sums are (t, s)-independent; they are computed
+    once, and `matrix` assembles L for each (t, s) from them.  The caller
+    builds one operator per scheme and passes it to pressure_estimate,
+    solve_pressure and gibbs_state; it also holds a memo of word data
+    (`word_data`, whose depth-1 words are the branch anchors), and is freed
+    with the caller's reference.  No (t, s) state is kept between calls.
+
+    L is held dense.  Its interpolation stencil has two entries per branch
+    and cell, so with more than G / 2 branches (276 on Chebyshev at n_max 24,
+    342 on the logistic map at a = 3.995, both at G = 256) the G x G matrix is
+    the smaller form, and a product with it is one BLAS call.  The price is
+    G^2 floats per assembly: 0.5 MB at G = 256, 8 MB at G = 1024.
     """
 
     def __init__(self, scheme: InducingScheme, grid=256):
         self.scheme = scheme
         G = int(grid)
-        a0, a1 = scheme.base_lo, scheme.base_hi
-        h = (a1 - a0) / G
-        self.xs = a0 + (np.arange(G) + 0.5) * h
+        self.h = (scheme.base_hi - scheme.base_lo) / G
+        self.xs = scheme.base_lo + (np.arange(G) + 0.5) * self.h
         B = len(scheme.branches)
         Y, self.sumlog = _pull_words(scheme, np.arange(B)[:, None],
                                      np.tile(self.xs, (B, 1)))
         self.tau = scheme.taus.astype(float)
-        pos = (Y - self.xs[0]) / h
-        self.idx = np.clip(np.floor(pos).astype(int), 0, G - 2)
-        self.frac = np.clip(pos - self.idx, 0.0, 1.0)
+        self.idx, self.frac = self._cells(Y)
         self._words = {}
+
+    def _cells(self, x):
+        """Per point of x: the index idx of the cell centre at or left of it
+        (clamped to the grid) and its fraction of the way to xs[idx + 1]."""
+        pos = (np.asarray(x, dtype=float) - self.xs[0]) / self.h
+        idx = np.clip(np.floor(pos).astype(int), 0, len(self.xs) - 2)
+        return idx, np.clip(pos - idx, 0.0, 1.0)
 
     def word_data(self, k, budget):
         """(words, x_fix, sumlog, total_tau) of the k-words with total time
@@ -325,85 +333,64 @@ class SpectralOperator:
     def weights(self, t, s):
         return np.exp(-t * self.sumlog - s * self.tau[:, None])
 
-    def apply(self, g, W):
-        gy = g[self.idx] * (1.0 - self.frac) + g[self.idx + 1] * self.frac
-        return (W * gy).sum(axis=0)
+    def matrix(self, W):
+        """L under the branch weights W as a dense (G, G) array: row l holds
+        the interpolation weights of the branch preimages of xs[l]."""
+        G = len(self.xs)
+        flat = (np.arange(G) * G + self.idx).ravel()
+        M = np.bincount(flat, (W * (1.0 - self.frac)).ravel(), G * G)
+        M += np.bincount(flat + 1, (W * self.frac).ravel(), G * G)
+        return M.reshape(G, G)
 
-    def apply_adjoint(self, nu, W):
-        """Adjoint action on cell masses (conformal-measure side)."""
-        out = np.zeros(len(self.xs))
-        np.add.at(out, self.idx, W * (1.0 - self.frac) * nu[None, :])
-        np.add.at(out, self.idx + 1, W * self.frac * nu[None, :])
-        return out
+    def eigen(self, t, s, tol=1e-12, max_iter=3000):
+        """Leading eigenvalue and positive eigenfunction, from g = 1."""
+        M = self.matrix(self.weights(t, s))
+        return _power(M, np.ones(len(self.xs)), tol, max_iter)
 
     def left_eigen(self, W, tol=1e-12, max_iter=3000):
-        """Leading left eigenvector (cell masses of the conformal measure)."""
-        nu = np.ones(len(self.xs)) / len(self.xs)
-        lam = 0.0
-        for _ in range(max_iter):
-            nn = self.apply_adjoint(nu, W)
-            lam_new = float(nn.sum())
-            nn /= lam_new
-            diff = float(np.max(np.abs(nn - nu)))
-            nu = nn
-            done = abs(lam_new - lam) < tol * max(abs(lam_new), 1e-300) \
-                and diff < 1e-12
-            lam = lam_new
-            if done:
-                break
-        else:
-            raise TransferOperatorDivergedError(
-                f"adjoint iteration not converged after {max_iter} steps"
-            )
-        return lam, nu
-
-    def eigen(self, t, s, tol=1e-12, max_iter=3000, warm=None):
-        """Leading eigenvalue and positive eigenfunction by power iteration.
-
-        Starts from `warm` when given (a caller-owned vector, overwritten
-        with the eigenfunction found), otherwise from g = 1.
-        """
-        W = self.weights(t, s)
-        g = np.maximum(np.ones(len(self.xs)) if warm is None else warm, 1e-12)
-        lam = 0.0
-        for _ in range(max_iter):
-            gn = self.apply(g, W)
-            lam_new = float(gn.sum() / g.sum())
-            gn /= lam_new
-            diff = float(np.max(np.abs(gn - g))) / max(float(np.max(gn)), 1e-300)
-            g = gn
-            done = abs(lam_new - lam) < tol * max(abs(lam_new), 1e-300) and diff < 1e-10
-            lam = lam_new
-            if done:
-                break
-        else:
-            raise TransferOperatorDivergedError(
-                f"power iteration not converged after {max_iter} steps"
-            )
-        if warm is not None:
-            warm[:] = g
-        return lam, g
+        """Leading left eigenvector (cell masses of the conformal measure,
+        sum 1), from the uniform masses."""
+        G = len(self.xs)
+        return _power(self.matrix(W).T, np.full(G, 1.0 / G), tol, max_iter)
 
     def interp(self, x, g):
         """Evaluate a grid function at arbitrary points."""
-        G = len(self.xs)
-        h = self.xs[1] - self.xs[0]
-        pos = (np.asarray(x, dtype=float) - self.xs[0]) / h
-        idx = np.clip(np.floor(pos).astype(int), 0, G - 2)
-        frac = np.clip(pos - idx, 0.0, 1.0)
+        idx, frac = self._cells(x)
         return g[idx] * (1.0 - frac) + g[idx + 1] * frac
+
+
+def _power(M, v, tol, max_iter):
+    """Leading eigenvalue and positive eigenvector of the nonnegative matrix
+    M by power iteration from v; the vector keeps the sum of v.
+
+    Stops when the eigenvalue moves by less than tol (relative) and the
+    vector by less than 1e-10 of its largest entry."""
+    lam = 0.0
+    for _ in range(max_iter):
+        vn = M @ v
+        lam_new = float(vn.sum() / v.sum())
+        vn /= lam_new
+        diff = float(np.max(np.abs(vn - v))) / max(float(np.max(vn)), 1e-300)
+        v = vn
+        done = abs(lam_new - lam) < tol * max(abs(lam_new), 1e-300) and diff < 1e-10
+        lam = lam_new
+        if done:
+            return lam, v
+    raise TransferOperatorDivergedError(
+        f"power iteration not converged after {max_iter} steps"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Pressure equation
 # ---------------------------------------------------------------------------
 
-def pressure_estimate(op, t, s, warm=None):
+def pressure_estimate(op, t, s):
     """P_G(Phi - s tau) on the scheme of `op`: the log of the leading
     transfer-operator eigenvalue, biased only by grid interpolation and
-    branch truncation.  `warm` is passed to SpectralOperator.eigen.
+    branch truncation.
     """
-    lam, _ = op.eigen(t, s, warm=warm)
+    lam, _ = op.eigen(t, s)
     return math.log(lam)
 
 
@@ -412,16 +399,9 @@ def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4):
 
     The map is strictly decreasing in s because tau >= 1; bisection inside
     the bracket is unconditionally safe.  Returns s* with |P_G(s*)| < tol.
-    Each power iteration starts from the previous one's eigenfunction; the
-    first starts from g = 1.
     """
     lo, hi = bracket
-    warm = np.ones(len(op.xs))
-
-    def g(s):
-        return pressure_estimate(op, t, s, warm=warm)
-
-    glo, ghi = g(lo), g(hi)
+    glo, ghi = pressure_estimate(op, t, lo), pressure_estimate(op, t, hi)
     if not (glo > 0.0 > ghi):
         raise PressureUnbracketedError(
             f"P_G({lo})={glo:.3g}, P_G({hi})={ghi:.3g}: no root in bracket"
@@ -430,7 +410,7 @@ def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4):
     s_star, resid = None, None
     for _ in range(80):
         mid = 0.5 * (a + b)
-        val = g(mid)
+        val = pressure_estimate(op, t, mid)
         if val > 0.0:
             a = mid
         else:
@@ -442,7 +422,7 @@ def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4):
             break
     if s_star is None:
         s_star = 0.5 * (a + b)
-        resid = g(s_star)
+        resid = pressure_estimate(op, t, s_star)
     if abs(resid) > tol:
         warnings.warn(
             f"pressure residual {resid:.2e} above tolerance {tol}",

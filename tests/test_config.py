@@ -9,7 +9,7 @@ from thermoform.config import (
     DEFAULTS, _SCHEMA, gibbs_kwargs, load_config, resolve,
 )
 from thermoform.errors import ConfigError
-from thermoform.thermo import gibbs_state, project_measure
+from thermoform.thermo import SpectralOperator, gibbs_state, project_measure
 from thermoform.tower import build_tower
 
 
@@ -82,3 +82,4 @@ def test_signature_defaults_match_schema():
     assert (measure["bins"], measure["split_parts"]) == \
         (DEFAULTS["bins"], DEFAULTS["split_parts"])
     assert signature_defaults(build_tower)["max_domains"] == DEFAULTS["max_domains"]
+    assert signature_defaults(SpectralOperator)["grid"] == DEFAULTS["grid"]

@@ -218,9 +218,22 @@ def test_coverage_monotone_in_nmax(tent19, tent19_tower):
     assert all(b >= a for a, b in zip(covs, covs[1:]))
 
 
-def test_extension_flags(tent2_scheme, cheb_scheme):
-    assert all(b.extension_ok for b in tent2_scheme.branches)
-    assert all(b.extension_ok for b in cheb_scheme.branches)
+def test_branches_extend_over_fattened_base(tent2_scheme, cheb_scheme,
+                                            tent19_scheme):
+    # A branch returns into a check-set domain, which contains the fattened
+    # base, so the fattened base pulls back through every step of the branch
+    # word inside the image of that step's level-1 branch.
+    tol = 1e-12
+    for scheme in (tent2_scheme, cheb_scheme, tent19_scheme):
+        m = scheme.map
+        target = fatten((scheme.base_lo, scheme.base_hi), scheme.delta)
+        for b in scheme.branches:
+            lo, hi = target
+            for sym in reversed(b.itinerary):
+                blo, bhi = m.branch_interval(sym)
+                ilo, ihi = sorted((float(m.f(blo)), float(m.f(bhi))))
+                assert ilo - tol <= lo and hi <= ihi + tol, (b, sym)
+                lo, hi = sorted((float(m.invert(sym, lo)), float(m.invert(sym, hi))))
 
 
 def test_scheme_csv(tmp_path, tent2_scheme):
