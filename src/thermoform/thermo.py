@@ -40,6 +40,7 @@ VARIATION_WORDS = 1500          # words sampled per depth by variation_profile
 VARIATION_KMAX = 4              # depths gibbs_state passes to variation_profile
 CONFORMAL_CONTINUATIONS = 64    # continuations checked by conformality_report
 TIE_RTOL = 1e-12                # masses this close count as equal in _strongest
+PROJECTION_CHUNK = 1 << 16      # split points project_measure iterates at once
 # gibbs_state stores the words of total time <= n_max + WEIGHT_SLACK, depth by
 # depth, up to the first depth with more than WEIGHT_WORD_LIMIT of them
 WEIGHT_SLACK = 8
@@ -542,15 +543,13 @@ def _masses_between(gs: GibbsState, cell_masses, lo, hi):
     """Per row of `cell_masses` (one row per branch, one column per base
     cell), the mass between the base points lo and hi, linear inside a cell:
     a (branches, len(lo)) array."""
-    op = gs._op
-    h = op.xs[1] - op.xs[0]
-    edges0 = op.xs[0] - 0.5 * h
+    h = gs._op.h
     G = cell_masses.shape[1]
     cum = np.cumsum(cell_masses, axis=1)
     cum = np.concatenate([np.zeros((len(cum), 1)), cum], axis=1)
 
     def M(x):
-        pos = np.clip((np.asarray(x, dtype=float) - edges0) / h, 0.0, G)
+        pos = np.clip((np.asarray(x, dtype=float) - gs.scheme.base_lo) / h, 0.0, G)
         cell = np.minimum(pos.astype(int), G - 1)
         return cum[:, cell] + cell_masses[:, cell] * (pos - cell)
 
@@ -620,60 +619,67 @@ class EquilibriumMeasure:
         return (np.arange(n) + 0.5) / n
 
 
+def _projection_pieces(gs: GibbsState):
+    """Flat (lo, hi, mass, tau) of the pieces project_measure pushes, longest
+    tau first: the depth-2 refinement of every branch (branch_children), and
+    the gaps wider than 1e-12 between a branch's kept children, which share
+    the branch mass the children miss (deep continuations cluster there) in
+    proportion to their lengths."""
+    scheme = gs.scheme
+    # at most ~40k children over all branches
+    cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
+    _, clo, chi, cmass = branch_children(gs, cap=cap)
+    ends = np.array([(b.lo, b.hi) for b in scheme.branches])
+    # gap j runs from the furthest right end of the children left of child j
+    # (by left end) to child j's left end; the last one to the branch end
+    order = np.argsort(clo, axis=1)
+    glo = np.maximum.accumulate(np.concatenate(
+        [ends[:, :1], np.take_along_axis(chi, order, axis=1)], axis=1), axis=1)
+    ghi = np.concatenate([np.take_along_axis(clo, order, axis=1), ends[:, 1:]], axis=1)
+    leftover = np.maximum(gs.branch_mu - cmass.sum(axis=1), 0.0)
+    gap = (ghi - glo > 1e-12) & (leftover > 0)[:, None]
+    row, gw = np.nonzero(gap)[0], (ghi - glo)[gap]
+    gm = leftover[row] * gw / np.bincount(row, gw)[row]
+    tau = np.concatenate([np.repeat(gs.taus, clo.shape[1]), gs.taus[row]])
+    first = np.argsort(-tau, kind="stable")
+    return (np.concatenate([clo.ravel(), glo[gap]])[first],
+            np.concatenate([chi.ravel(), ghi[gap]])[first],
+            np.concatenate([cmass.ravel(), gm])[first], tau[first])
+
+
 def project_measure(scheme, gs: GibbsState, bins=4096,
                     split_parts=32) -> EquilibriumMeasure:
-    """Push branch masses through f^k for 0 <= k < tau into a histogram.
-
-    Branch mass is spread across its depth-2 refinement for resolution, and
-    each refinement piece is subdivided into `split_parts` equal parts whose
-    endpoints are iterated together, so the image mass carries the Jacobian
-    of f^k instead of being flattened.  Normalised by the total pushed mass
-    (the Kac denominator tau-mean).
+    """Push the mass of every piece (_projection_pieces) through f^k for
+    0 <= k < tau into a histogram, normalised by the total pushed mass (the
+    Kac denominator tau-mean).  Each piece is cut into `split_parts` equal
+    parts whose endpoints are iterated together, so the image mass carries
+    the Jacobian of f^k.  Every point is binned at every step, so no
+    monotonicity of f^k is assumed: a piece whose points share one bin adds
+    its mass there, every other piece adds its parts.  One histogram call
+    per step takes the pieces of PROJECTION_CHUNK points at a time.
     """
     m = scheme.map
     hist = IntervalHistogram(bins)
-    # at most ~40k children over all branches
-    cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
     tau_mean = float((gs.branch_mu * gs.taus).sum())
     if tau_mean > 1e3:
         warnings.warn("tau-mean exceeds 1e3; tail truncation dominates",
                       ProjectionUnstableWarning)
     fracs = np.linspace(0.0, 1.0, split_parts + 1)
-    _, children_lo, children_hi, children_mass = branch_children(gs, cap=cap)
-    for i, b in enumerate(scheme.branches):
-        clo, chi, masses = children_lo[i], children_hi[i], children_mass[i]
-        leftover = max(float(gs.branch_mu[i]) - float(masses.sum()), 0.0)
-        # Remainder mass lives in the complement of the kept children (deep
-        # continuations cluster there); spread it over those gaps by length.
-        order = np.argsort(clo)
-        glo, ghi = [], []
-        cursor = b.lo
-        for u, v in zip(clo[order], chi[order]):
-            if u - cursor > 1e-12:
-                glo.append(cursor)
-                ghi.append(u)
-            cursor = max(cursor, v)
-        if b.hi - cursor > 1e-12:
-            glo.append(cursor)
-            ghi.append(b.hi)
-        if glo and leftover > 0:
-            glo, ghi = np.array(glo), np.array(ghi)
-            gw = ghi - glo
-            gm = leftover * gw / gw.sum()
-            lo = np.concatenate([clo, glo])
-            hi = np.concatenate([chi, ghi])
-            ms = np.concatenate([masses, gm])
-        else:
-            lo, hi, ms = clo, chi, masses
-        # Subdivide every piece; f^k is monotone on the branch for k <= tau,
-        # so consecutive point images bound the part images exactly.
-        pts = lo[:, None] + fracs * (hi - lo)[:, None]
-        part_mass = np.repeat(ms / split_parts, split_parts)
-        for _ in range(b.tau):
-            u = pts[:, :-1].ravel()
-            v = pts[:, 1:].ravel()
-            hist.add_many(u, v, part_mass)
-            pts = np.asarray(m.f(pts))
+    lo, hi, mass, tau = _projection_pieces(gs)
+    n = max(1, PROJECTION_CHUNK // (split_parts + 1))
+    for c in range(0, len(tau), n):
+        pts = lo[c:c + n, None] + fracs * (hi - lo)[c:c + n, None]
+        ms, ts = mass[c:c + n], tau[c:c + n]
+        for k in range(ts[0]):
+            cell = np.minimum((np.clip(pts, 0.0, 1.0) * bins).astype(int), bins - 1)
+            one = cell.min(axis=1) == cell.max(axis=1)
+            x0, parts = pts[one, 0], pts[~one]
+            hist.add_many(np.concatenate([x0, parts[:, :-1].ravel()]),
+                          np.concatenate([x0, parts[:, 1:].ravel()]),
+                          np.concatenate([ms[one], np.repeat(ms[~one] / split_parts,
+                                                             split_parts)]))
+            live = np.count_nonzero(ts > k + 1)
+            pts, ms = np.asarray(m.f(pts[:live])), ms[:live]
     values = hist.values()
     total = float(values.sum())
     if total <= 0:

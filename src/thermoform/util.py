@@ -48,45 +48,44 @@ class IntervalHistogram:
 
     Mass of an interval is spread proportionally to bin overlap.  Interior
     full bins go through a difference array so a push costs O(1) regardless
-    of how many bins the interval spans.
+    of how many bins the interval spans; a count of the spans over each bin
+    keeps the array's rounding residue out of bins no span covers.  No bin
+    is negative.
     """
 
     def __init__(self, bins):
         self.bins = int(bins)
         self._h = np.zeros(self.bins)
         self._d = np.zeros(self.bins + 1)
+        self._cover = np.zeros(self.bins + 1, dtype=np.int64)
 
     def add_many(self, lo, hi, mass):
-        """Vectorised add of many intervals."""
+        """Vectorised add of many intervals (either orientation)."""
         n = self.bins
         a = np.clip(np.minimum(lo, hi), 0.0, 1.0)
         b = np.clip(np.maximum(lo, hi), 0.0, 1.0)
-        lo, hi = a, b
         mass = np.asarray(mass, dtype=float)
-        width = hi - lo
-        thin = width <= 1e-15
-        if np.any(thin):
-            b = np.minimum((lo[thin] * n).astype(int), n - 1)
-            np.add.at(self._h, b, mass[thin])
-        keep = ~thin & (mass != 0.0)
-        if not np.any(keep):
-            return
-        lo, hi, mass, width = lo[keep], hi[keep], mass[keep], width[keep]
-        dens = mass / width
-        ilo = np.minimum((lo * n).astype(int), n - 1)
-        ihi = np.minimum((hi * n).astype(int), n - 1)
-        same = ilo == ihi
-        np.add.at(self._h, ilo[same], mass[same])
-        multi = ~same
-        if np.any(multi):
-            ilo, ihi = ilo[multi], ihi[multi]
-            lo, hi, dens = lo[multi], hi[multi], dens[multi]
-            np.add.at(self._h, ilo, dens * ((ilo + 1) / n - lo))
-            np.add.at(self._h, ihi, dens * (hi - ihi / n))
-            span = ihi > ilo + 1
-            if np.any(span):
-                np.add.at(self._d, ilo[span] + 1, dens[span] / n)
-                np.add.at(self._d, ihi[span], -dens[span] / n)
+        ilo = np.minimum((a * n).astype(int), n - 1)
+        ihi = np.minimum((b * n).astype(int), n - 1)
+        # a thin or single-bin interval puts its whole mass in bin ilo
+        one = (b - a <= 1e-15) | (ilo == ihi)
+        multi = ~one & (mass != 0.0)
+        a, b, i, j = a[multi], b[multi], ilo[multi], ihi[multi]
+        dens = mass[multi] / (b - a)
+        # end-bin overlaps, floored at 0 against rounding of the bin edges
+        left = dens * np.maximum((i + 1) / n - a, 0.0)
+        right = dens * np.maximum(b - j / n, 0.0)
+        self._h += np.bincount(np.concatenate([ilo[one], i, j]),
+                               np.concatenate([mass[one], left, right]),
+                               minlength=n)
+        span = j > i + 1
+        i, j, step = i[span] + 1, j[span], dens[span] / n
+        self._d += np.bincount(np.concatenate([i, j]),
+                               np.concatenate([step, -step]), minlength=n + 1)
+        self._cover += (np.bincount(i, minlength=n + 1)
+                        - np.bincount(j, minlength=n + 1))
 
     def values(self):
-        return self._h + np.cumsum(self._d)[:-1]
+        inner = np.cumsum(self._d)[:-1]
+        covered = np.cumsum(self._cover)[:-1] > 0
+        return self._h + np.where(covered, np.maximum(inner, 0.0), 0.0)

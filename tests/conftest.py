@@ -89,6 +89,11 @@ def cheb_op(cheb_scheme):
 
 
 @pytest.fixture(scope="session")
+def tent19_op(tent19_scheme):
+    return SpectralOperator(tent19_scheme)
+
+
+@pytest.fixture(scope="session")
 def gibbs_cache():
     """(operator id, t) -> GibbsState, shared across modules."""
     return {}
@@ -114,6 +119,11 @@ def cheb_gibbs(cheb_op, gibbs_cache):
 @pytest.fixture(scope="session")
 def cheb_gibbs_t09(cheb_op, gibbs_cache):
     return gibbs_for(gibbs_cache, cheb_op, 0.9)
+
+
+@pytest.fixture(scope="session")
+def tent19_gibbs(tent19_op, gibbs_cache):
+    return gibbs_for(gibbs_cache, tent19_op, 1.0, weight_depth=1)
 
 
 @pytest.fixture(scope="session")

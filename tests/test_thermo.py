@@ -13,6 +13,7 @@ from thermoform.errors import (
 from thermoform.inducing import Branch, InducingScheme
 from thermoform.maps import CriticalPoint, IntervalMap, make_map
 from thermoform.thermo import (
+    PROJECTION_CHUNK,
     EquilibriumMeasure,
     SpectralOperator,
     branch_children,
@@ -31,8 +32,9 @@ from thermoform.thermo import (
     tau_mean_consistency,
     variation_profile,
     zk_sum,
+    _projection_pieces,
 )
-from thermoform.util import bisect_monotone
+from thermoform.util import IntervalHistogram, bisect_monotone
 from tests.conftest import cheb_acip_bin_masses
 
 LOG2 = math.log(2.0)
@@ -401,12 +403,11 @@ def test_branch_children_rows_are_pullbacks(cheb_gibbs):
         assert np.array_equal(hi[i], np.maximum(pts[:n], pts[n:]))
 
 
-def test_projection_ignores_rounding_of_tied_masses(tent19_scheme):
+def test_projection_ignores_rounding_of_tied_masses(tent19_scheme, tent19_gibbs):
     # tent 1.9 has groups of branches whose masses agree to rounding where
     # the projection's child cap cuts; noise at that level must not decide
     # which of them are refined
-    op = SpectralOperator(tent19_scheme)
-    gs = gibbs_state(op, 1.0, weight_depth=1)
+    gs = tent19_gibbs
     mu = project_measure(tent19_scheme, gs, split_parts=8)
     rng = np.random.default_rng(0)
     noise = 1.0 + 4e-16 * rng.choice([-1.0, 1.0], len(gs.branch_mu))
@@ -414,6 +415,71 @@ def test_projection_ignores_rounding_of_tied_masses(tent19_scheme):
     l1 = float(np.abs(project_measure(tent19_scheme, noisy, split_parts=8).masses
                       - mu.masses).sum())
     assert l1 <= 1e-12
+
+
+def project_by_branch(scheme, gs, bins=4096, split_parts=32):
+    """Reference projection: one branch at a time, every part of every piece
+    at every step, gaps found by a scan over the children."""
+    m = scheme.map
+    hist = IntervalHistogram(bins)
+    cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
+    fracs = np.linspace(0.0, 1.0, split_parts + 1)
+    _, children_lo, children_hi, children_mass = branch_children(gs, cap=cap)
+    for i, b in enumerate(scheme.branches):
+        clo, chi, masses = children_lo[i], children_hi[i], children_mass[i]
+        leftover = max(float(gs.branch_mu[i]) - float(masses.sum()), 0.0)
+        order = np.argsort(clo)
+        glo, ghi = [], []
+        cursor = b.lo
+        for u, v in zip(clo[order], chi[order]):
+            if u - cursor > 1e-12:
+                glo.append(cursor)
+                ghi.append(u)
+            cursor = max(cursor, v)
+        if b.hi - cursor > 1e-12:
+            glo.append(cursor)
+            ghi.append(b.hi)
+        lo, hi, ms = clo, chi, masses
+        if glo and leftover > 0:
+            gw = np.array(ghi) - np.array(glo)
+            lo = np.concatenate([clo, glo])
+            hi = np.concatenate([chi, ghi])
+            ms = np.concatenate([masses, leftover * gw / gw.sum()])
+        pts = lo[:, None] + fracs * (hi - lo)[:, None]
+        part_mass = np.repeat(ms / split_parts, split_parts)
+        for _ in range(b.tau):
+            hist.add_many(pts[:, :-1].ravel(), pts[:, 1:].ravel(), part_mass)
+            pts = np.asarray(m.f(pts))
+    values = hist.values()
+    return values / values.sum(), float((gs.branch_mu * gs.taus).sum())
+
+
+@pytest.mark.parametrize("name", ["tent2", "cheb", "tent19"])
+def test_projection_matches_branch_loop(name, request):
+    scheme = request.getfixturevalue(f"{name}_scheme")
+    gs = request.getfixturevalue(f"{name}_gibbs")
+    mu = project_measure(scheme, gs)
+    want, tau_mean = project_by_branch(scheme, gs)
+    big = want > 1e-12 * want.max()
+    assert np.all(np.abs(mu.masses - want)[big] <= 1e-12 * want[big])
+    assert mu.tau_mean == tau_mean
+    assert mu.masses.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_projection_batches_histogram_calls(cheb_scheme, cheb_gibbs, monkeypatch):
+    # one add_many call per chunk of pieces and step, not per branch and step
+    calls = []
+    add_many = IntervalHistogram.add_many
+
+    def counted(self, lo, hi, mass):
+        calls.append(len(lo))
+        return add_many(self, lo, hi, mass)
+
+    monkeypatch.setattr(IntervalHistogram, "add_many", counted)
+    project_measure(cheb_scheme, cheb_gibbs)
+    _, _, _, tau = _projection_pieces(cheb_gibbs)
+    chunks = -(-len(tau) // (PROJECTION_CHUNK // (32 + 1)))  # split_parts 32
+    assert 0 < len(calls) <= 2 * chunks * int(tau.max())
 
 
 def test_invariance_examples(tent2, tent2_equilibrium, cheb, cheb_equilibrium):
