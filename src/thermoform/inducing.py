@@ -120,6 +120,9 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta,
     pieces = [(a0, a1, start.lo, start.hi, ())]
     for step in range(1, n_max + 1):
         nxt = []
+        # returns of this step, pulled back together after it:
+        # (full return?, word, returning part of the image)
+        returns = []
         for jlo, jhi, dlo, dhi, word in pieces:
             for plo, phi, sym, ilo, ihi in split_at_criticals(m, dlo, dhi):
                 olo, ohi = max(jlo, plo), min(jhi, phi)
@@ -129,29 +132,27 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta,
                 nlo, nhi = min(fa, fb), max(fa, fb)
                 nword = word + (sym,)
                 if in_cset(ilo, ihi) and nhi > a0 + END_TOL and nlo < a1 - END_TOL:
-                    if nlo <= a0 + END_TOL and nhi >= a1 - END_TOL:
-                        # Full return: the sub-piece covering the base is a
-                        # branch, unless its pullback is too thin to resolve.
-                        xa, xb = m.pull_back(nword, (a0, a1), logs=False)[0].tolist()
-                        blo, bhi = min(xa, xb), max(xa, xb)
-                        if bhi - blo > WIDTH_FLOOR:
-                            branches.append(Branch(blo, bhi, step, nword))
-                        else:
-                            lost += bhi - blo
-                        for glo, ghi in ((nlo, a0), (a1, nhi)):
-                            if ghi - glo > WIDTH_FLOOR:
-                                nxt.append((glo, ghi, ilo, ihi, nword))
-                    else:
-                        # Partial entry: those points return but not onto the
-                        # full base; drop them, keep the outside parts alive.
-                        covered = (max(nlo, a0), min(nhi, a1))
-                        xa, xb = m.pull_back(nword, covered, logs=False)[0].tolist()
-                        lost += abs(xb - xa)
-                        for glo, ghi in ((nlo, a0), (a1, nhi)):
-                            if ghi - glo > WIDTH_FLOOR:
-                                nxt.append((glo, ghi, ilo, ihi, nword))
+                    # A full return covers the base; a partial entry's points
+                    # return but not onto the full base.  Either way the
+                    # outside parts stay alive.
+                    full = nlo <= a0 + END_TOL and nhi >= a1 - END_TOL
+                    returns.append((full, nword, (a0, a1) if full
+                                    else (max(nlo, a0), min(nhi, a1))))
+                    for glo, ghi in ((nlo, a0), (a1, nhi)):
+                        if ghi - glo > WIDTH_FLOOR:
+                            nxt.append((glo, ghi, ilo, ihi, nword))
                 else:
                     nxt.append((nlo, nhi, ilo, ihi, nword))
+        if returns:
+            full, words, ends = zip(*returns)
+            xs, _ = m.pull_back(np.array(words), np.array(ends), logs=False)
+            for is_full, nword, (xa, xb) in zip(full, words, xs.tolist()):
+                blo, bhi = min(xa, xb), max(xa, xb)
+                if is_full and bhi - blo > WIDTH_FLOOR:
+                    branches.append(Branch(blo, bhi, step, nword))
+                else:
+                    # a partial entry, or a full return too thin to resolve
+                    lost += bhi - blo
         if len(nxt) > PIECE_BUDGET:
             raise SchemeTooLargeError(
                 f"{len(nxt)} live pieces at time {step}; lower n_max or deepen the base"

@@ -55,7 +55,9 @@ class IntervalMap:
     df: callable = field(repr=False)
     d2f: callable = field(repr=False)
     critical_points: tuple
-    branch_inverse: callable = field(repr=False)   # (branch, y) -> preimage
+    # (b, y) -> preimage; b is a branch index or an array of them that
+    # broadcasts against y
+    branch_inverse: callable = field(repr=False)
     growth: GrowthClass = None
 
     @property
@@ -79,33 +81,33 @@ class IntervalMap:
 
     def invert(self, b, y):
         """Preimage of y under f restricted to branch b (vectorised): the
-        family's closed-form inverse, clipped to the branch."""
-        lo, hi = self.branch_interval(b)
-        return np.clip(self.branch_inverse(b, np.asarray(y, dtype=float)), lo, hi)
+        family's closed-form inverse, clipped to the branch.  b is a branch
+        index or an integer array of them that broadcasts against y."""
+        e = np.asarray(self.branch_edges)
+        b = np.asarray(b)
+        return np.clip(self.branch_inverse(b, np.asarray(y, dtype=float)),
+                       e[b], e[b + 1])
 
     def pull_back(self, symbols, points, logs=True):
         """Pull points back through the level-1 branches coded by `symbols`.
 
         `symbols` is one itinerary shared by all points, or an (n, L) array
         with one itinerary per row of `points` (shape (n, ...)).  Symbols are
-        inverted from last to first, so the result x has f^j(x) in branch
-        symbols[j].  Returns (x, sumlog) with sumlog the sum of log|Df| over
-        x, f(x), ..., f^(L-1)(x); with logs=False, sumlog is None and the
-        orbit may meet a critical point (endpoint geometry).
+        inverted from last to first, one `invert` call per step with each
+        row's branch index broadcast over the row, so the result x has
+        f^j(x) in branch symbols[j].  Returns (x, sumlog) with sumlog the sum
+        of log|Df| over x, f(x), ..., f^(L-1)(x); with logs=False, sumlog is
+        None and the orbit may meet a critical point (endpoint geometry).
 
         Raises SingularPotentialError when the orbit meets |Df| < 1e-300.
         """
         syms = np.asarray(symbols)
         z = np.array(points, dtype=float)
         sumlog = np.zeros_like(z) if logs else None
+        # a column of symbols, shaped to broadcast over each row's points
+        col = syms.shape[:-1] + (1,) * (z.ndim - syms.ndim + 1)
         for j in range(syms.shape[-1] - 1, -1, -1):
-            col = syms[..., j]
-            if col.ndim == 0:
-                z = self.invert(int(col), z)
-            else:
-                for b in np.unique(col):
-                    rows = col == b
-                    z[rows] = self.invert(int(b), z[rows])
+            z = self.invert(syms[..., j].reshape(col), z)
             if logs:
                 d = np.abs(self.df(z))
                 if np.any(d < 1e-300):
@@ -270,7 +272,7 @@ def tent_map(s):
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def inv(b, y):
-        return y / s if b == 0 else 1.0 - y / s
+        return np.where(b == 0, y / s, 1.0 - y / s)
 
     crit = (CriticalPoint(0.5, 1.0, "maximum", smooth=False),)
     growth = GrowthClass("exponential", 1.0, math.log(s))
@@ -296,7 +298,7 @@ def skew_tent_map(peak, height=1.0):
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def inv(b, y):
-        return y / sl if b == 0 else 1.0 - y / sr
+        return np.where(b == 0, y / sl, 1.0 - y / sr)
 
     crit = (CriticalPoint(p, 1.0, "maximum", smooth=False),)
     return IntervalMap("skew_tent", (p, h), f, df, d2f, crit, inv, None)
@@ -321,7 +323,9 @@ def logistic_map(a, family="logistic"):
 
     def inv(b, y):
         r = np.sqrt(np.maximum(0.25 - np.asarray(y, dtype=float) / a, 0.0))
-        return 0.5 - r if b == 0 else 0.5 + r
+        # 2b - 1 is -1 on the left branch and 1 on the right; -1.0 * r is
+        # -r and 0.5 + (-r) is 0.5 - r, exactly
+        return 0.5 + (2 * b - 1) * r
 
     crit = (CriticalPoint(0.5, 2.0, "maximum"),)
     growth = GrowthClass("exponential", 1.0, math.log(4.0)) if a == 4.0 else None

@@ -8,9 +8,11 @@ enumeration.
 
 Words of depth k are (n, k) int arrays of branch indices.  The per-scheme
 state (the branch pullbacks of the base grid with their orbit sums, and the
-memo of word data) lives in one SpectralOperator that the caller builds for
-each scheme and passes to pressure_estimate, solve_pressure and
-gibbs_state; the operator matrix is assembled from it for each (t, s).
+memo of word data: anchors, their orbit sums and the orbit sums of the
+sandwich samples, so gibbs_sandwich_report pulls nothing back per t) lives
+in one SpectralOperator that the caller builds for each scheme and passes
+to pressure_estimate, solve_pressure and gibbs_state; the operator matrix
+is assembled from it for each (t, s).
 Nothing is kept at module level, so a result depends on (scheme, grid, t)
 and not on which calls came before it.
 """
@@ -45,6 +47,9 @@ PROJECTION_CHUNK = 1 << 16      # split points project_measure iterates at once
 # depth, up to the first depth with more than WEIGHT_WORD_LIMIT of them
 WEIGHT_SLACK = 8
 WEIGHT_WORD_LIMIT = 300_000
+# base points, as fractions of the base, at which gibbs_sandwich_report
+# evaluates each word's potential
+SANDWICH_SAMPLES = np.array([0.25, 0.5, 0.75])
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,10 @@ def periodic_anchors(scheme: InducingScheme, words):
 
     Iterates the contraction from the base midpoint until the update falls
     below FIX_TOL (cap FIX_ITERS) and verifies contraction by two-point
-    shrinkage.  Returns (x_fix, sumlog, total_tau) aligned with words.
+    shrinkage.  Returns (x_fix, sumlog, total_tau, sample_sumlog) aligned
+    with words; sample_sumlog is the (n, 3) sum of log|Df| along the word
+    from the base samples SANDWICH_SAMPLES, pulled back in the same sweep as
+    the anchors.
 
     FIX_TOL only stops the iteration; it is not an error bound.  The anchor
     error is set by cancellation in the inverse branches where a chain
@@ -133,21 +141,24 @@ def periodic_anchors(scheme: InducingScheme, words):
     n = len(words)
     xf, sl = np.empty(n), np.empty(n)
     lt = np.empty(n, dtype=int)
+    samples = scheme.base_lo + SANDWICH_SAMPLES * scheme.base_width
+    ssl = np.empty((n, len(samples)))
     mid = 0.5 * (scheme.base_lo + scheme.base_hi)
     probe = scheme.base_lo + 0.25 * scheme.base_width
     for rows, sym in _group_words(scheme, words):
         L = sym.shape[1]
-        x = np.full(len(rows), mid)
+        # the first step pulls the shrinkage probe back beside the midpoint
+        z, _ = m.pull_back(sym, np.tile([mid, probe], (len(rows), 1)), logs=False)
+        shrink = np.abs(z[:, 0] - z[:, 1]) / abs(mid - probe)
+        if np.any(shrink >= 1.0):
+            bad = int(rows[int(np.argmax(shrink))])
+            raise BranchNotContractingError(
+                f"word {np.asarray(words[bad]).tolist()} failed two-point shrinkage"
+            )
+        x, z = np.full(len(rows), mid), z[:, 0]
         for it in range(FIX_ITERS):
-            z, _ = m.pull_back(sym, x, logs=False)
-            if it == 0:
-                zy, _ = m.pull_back(sym, np.full(len(rows), probe), logs=False)
-                shrink = np.abs(z - zy) / abs(mid - probe)
-                if np.any(shrink >= 1.0):
-                    bad = int(rows[int(np.argmax(shrink))])
-                    raise BranchNotContractingError(
-                        f"word {np.asarray(words[bad]).tolist()} failed two-point shrinkage"
-                    )
+            if it:
+                z, _ = m.pull_back(sym, x, logs=False)
             delta = float(np.max(np.abs(z - x)))
             x = z
             if delta < FIX_TOL:
@@ -157,9 +168,10 @@ def periodic_anchors(scheme: InducingScheme, words):
         # iteration expands the anchor error by |DF| each return; on the
         # Chebyshev base (0, 1) it leaves a 2-word cylinder after one return
         # of 20 steps.
-        _, logd = m.pull_back(sym, x)
-        xf[rows], sl[rows], lt[rows] = x, logd, L
-    return xf, sl, lt
+        _, logd = m.pull_back(sym, np.column_stack(
+            [x, np.tile(samples, (len(rows), 1))]))
+        xf[rows], sl[rows], lt[rows], ssl[rows] = x, logd[:, 0], L, logd[:, 1:]
+    return xf, sl, lt, ssl
 
 
 def count_words(scheme, k, budget):
@@ -206,7 +218,7 @@ def induced_potential(op, t, s) -> InducedPotential:
     """Branch potential data at the branch fixed points, from the orbit data
     held by the scheme's SpectralOperator `op`."""
     scheme = op.scheme
-    _, xf, slf, _ = op.word_data(1, None)
+    _, xf, slf, _, _ = op.word_data(1, None)
     return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf)
 
 
@@ -275,7 +287,7 @@ def zk_sum(op, pot: InducedPotential, k, N):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, _, sl, lt = op.word_data(k, N)
+    _, _, sl, lt, _ = op.word_data(k, N)
     if len(sl) == 0:
         return 0.0
     return float(np.exp(-pot.t * sl - pot.s * lt).sum())
@@ -294,8 +306,10 @@ class SpectralOperator:
     once, and `matrix` assembles L for each (t, s) from them.  The caller
     builds one operator per scheme and passes it to pressure_estimate,
     solve_pressure and gibbs_state; it also holds a memo of word data
-    (`word_data`, whose depth-1 words are the branch anchors), and is freed
-    with the caller's reference.  No (t, s) state is kept between calls.
+    (`word_data`, whose depth-1 words are the branch anchors) with each
+    word's anchor and the orbit sums of the anchor and of the sandwich
+    samples, and is freed with the caller's reference.  No (t, s) state is
+    kept between calls.
 
     L is held dense.  Its interpolation stencil has two entries per branch
     and cell, so with more than G / 2 branches (276 on Chebyshev at n_max 24,
@@ -324,8 +338,9 @@ class SpectralOperator:
         return idx, np.clip(pos - idx, 0.0, 1.0)
 
     def word_data(self, k, budget):
-        """(words, x_fix, sumlog, total_tau) of the k-words with total time
-        <= budget, computed once per (k, budget)."""
+        """(words, x_fix, sumlog, total_tau, sample_sumlog) of the k-words
+        with total time <= budget (periodic_anchors), computed once per
+        (k, budget)."""
         if (k, budget) not in self._words:
             words = enumerate_words(self.scheme, k, budget)
             self._words[k, budget] = (words, *periodic_anchors(self.scheme, words))
@@ -510,7 +525,7 @@ def gibbs_state(op, t, weight_depth=4, pressure_tol=1e-4,
         # stored depths then carry complete (budget-truncated) word sets.
         if k > 1 and count_words(scheme, k, budget) > WEIGHT_WORD_LIMIT:
             break
-        wk, xfk, slk, ltk = op.word_data(k, budget)
+        wk, xfk, slk, ltk, _ = op.word_data(k, budget)
         if not len(wk):
             break
         mk = np.exp(-t * slk - s_star * ltk.astype(float) - k * log_lam)
@@ -521,7 +536,7 @@ def gibbs_state(op, t, weight_depth=4, pressure_tol=1e-4,
     c_m = 1.0 / max(depth_sums)
     c_mu = 1.0 / float(mu_raw[0].sum())
 
-    _, xf, slf, _ = op.word_data(1, budget)
+    _, xf, slf, _, _ = op.word_data(1, budget)
     pot = InducedPotential(scheme, float(t), s_star, scheme.taus, xf, slf)
     var = variation_profile(scheme, pot, VARIATION_KMAX)
 
@@ -733,17 +748,19 @@ def conformality_report(gs: GibbsState):
 def gibbs_sandwich_report(gs: GibbsState, depth=None):
     """Largest two-sided ratio mu(C_w)/e^(Psi_k) over stored words.
 
-    Three pulled-back base samples per word plus the periodic anchor.
+    Psi_k is taken at the three base samples SANDWICH_SAMPLES pulled back
+    through each word, against the word's anchored mass.  Their orbit sums
+    are t-independent and sit in the operator's word memo beside the
+    anchors, so the report only reweights them; it pulls nothing back.
     """
     depth = depth or gs.weight_depth
-    base = gs.scheme.base_lo + np.array([0.25, 0.5, 0.75]) * gs.scheme.base_width
-    taus = gs.taus
+    budget = gs.scheme.n_max + WEIGHT_SLACK
     K = 1.0
     first = 0
-    for words in gs.words[:depth]:
-        n, k = words.shape
-        _, sl = _pull_words(gs.scheme, words, np.tile(base, (n, 1)))
-        psi = gs.psi_eff(sl, taus[words].sum(1)[:, None].astype(float), k)
+    for k, words in enumerate(gs.words[:depth], 1):
+        n = len(words)
+        _, _, _, lt, sl = gs._op.word_data(k, budget)
+        psi = gs.psi_eff(sl, lt[:, None].astype(float), k)
         ratios = gs.mu_weights[first:first + n, None] / np.exp(psi)
         K = max(K, float(ratios.max()), float(1.0 / ratios.min()))
         first += n

@@ -20,6 +20,16 @@ TENT19 = {"experiment": {"family": "tent", "parameter": 1.9, "t_values": 1.0,
                          "ladder": 0.005, "ladder_direction": -1,
                          "n_max": 12, "bins": 512}}
 BAD_BRACKET = {"pressure": {"bracket_lo": 3.0, "bracket_hi": 5.0}}
+CHEB16 = {"experiment": {"family": "cheb", "t_values": "0.9 1.0", "n_max": 16,
+                         "bins": 512}}
+# `equilibrium` stdout on CHEB16, pinned digit for digit: a refactor that
+# claims identical output must reproduce it
+CHEB16_GOLDEN = [
+    "t=0.9 P=0.0692496448755 tau_mean=3.99657862999 lyapunov=0.693846748973 "
+    "K=1.64570985538",
+    "t=1 P=-6.51180744171e-05 tau_mean=3.99657712479 lyapunov=0.693846692723 "
+    "K=1.73834685451",
+]
 
 
 def write_config(path, sections):
@@ -53,6 +63,12 @@ def test_command_exit_ok(tmp_path, command, name, header):
     out = tmp_path / "out"
     assert [p.name for p in out.iterdir()] == [name]
     assert (out / name).read_text().splitlines()[0] == header
+
+
+def test_equilibrium_stdout_golden(tmp_path, capsys):
+    assert run_cli(tmp_path, "equilibrium", CHEB16) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" -> ")[0] for line in lines] == CHEB16_GOLDEN
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -13,7 +13,7 @@ from thermoform.inducing import (
     scheme_to_csv,
     WIDTH_FLOOR,
 )
-from thermoform.maps import make_map
+from thermoform.maps import IntervalMap, make_map
 from thermoform.tower import build_tower, transitive_component, tower_step
 from tests.conftest import cylinder_by_itinerary
 
@@ -155,6 +155,36 @@ def test_no_unresolved_branches(cheb, cheb_tower):
     base = cylinder_by_itinerary(cheb, 2, (0, 1))
     scheme = build_scheme(cheb, cheb_tower, base, delta=0.1, n_max=28)
     assert all(b.width > WIDTH_FLOOR for b in scheme.branches)
+
+
+@pytest.mark.parametrize("name", ["cheb", "tent19", "logistic"])
+def test_returns_pulled_back_once_per_step(name, request, monkeypatch):
+    # build_scheme pulls the returns of one step back in one row-wise call,
+    # and each branch is the pullback of the base through its own word
+    if name == "logistic":
+        m = make_map("logistic", {"a": 3.99})
+        tower = build_tower(m, 8)
+        transitive_component(tower)
+        base = choose_base(m, tower, 2, require_boundary=False)
+    else:
+        m = request.getfixturevalue(name)
+        tower = request.getfixturevalue(f"{name}_tower")
+        base = cylinder_by_itinerary(m, 2, (0, 1))
+    calls = []
+    pull_back = IntervalMap.pull_back
+
+    def counted(self, symbols, points, logs=True):
+        calls.append(np.ndim(symbols))
+        return pull_back(self, symbols, points, logs)
+
+    monkeypatch.setattr(IntervalMap, "pull_back", counted)
+    scheme = build_scheme(m, tower, base, delta=0.1, n_max=16)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 16 and set(calls) == {2}
+    for b in scheme.branches:
+        ends, _ = m.pull_back(b.itinerary, (scheme.base_lo, scheme.base_hi),
+                              logs=False)
+        assert (b.lo, b.hi) == tuple(sorted(ends.tolist()))
 
 
 def test_scheme_convergence(tent19, tent19_scheme):

@@ -142,3 +142,43 @@ def test_pull_back_singular(tent2):
         tent2.pull_back((0,), 1.0)
     x, sumlog = tent2.pull_back((0,), 1.0, logs=False)
     assert x == 0.5 and sumlog is None
+
+
+@pytest.mark.parametrize("family,params", [
+    ("tent", {"s": 1.9}),
+    ("skew_tent", {"peak": 0.4}),
+    ("logistic", {"a": 3.99}),
+    ("cheb", {}),
+])
+def test_pull_back_rows_match_single_itineraries(family, params):
+    # one itinerary per row gives, bit for bit, what one itinerary at a time
+    # gives, with both branches in every column
+    m = make_map(family, params)
+    rng = np.random.default_rng(3)
+    # row r: the itinerary of x0[r] over 9 steps, and 5 points just below
+    # f^9(x0[r]), so every pullback stays next to the orbit of x0[r]
+    orbit = [rng.uniform(0.01, 0.99, size=40)]
+    for _ in range(9):
+        orbit.append(np.asarray(m.f(orbit[-1])))
+    syms = m.branch_of(np.array(orbit[:-1]).T)
+    assert np.all(syms.min(axis=0) == 0) and np.all(syms.max(axis=0) == 1)
+    y = orbit[-1][:, None] * (1.0 - 1e-9 * np.arange(5))
+    x, sumlog = m.pull_back(syms, y)
+    for row in range(len(syms)):
+        x_row, sumlog_row = m.pull_back(tuple(syms[row]), y[row])
+        assert np.array_equal(x[row], x_row)
+        assert np.array_equal(sumlog[row], sumlog_row)
+    # an array of branch indices inverts as one index at a time does
+    b = rng.integers(0, 2, size=y.shape)
+    xb = m.invert(b, y)
+    for i in np.ndindex(y.shape):
+        assert xb[i] == m.invert(int(b[i]), y[i])
+
+
+def test_pull_back_rows_singular(tent2):
+    # the second row pulls y = 1 back through branch 1 onto the corner 0.5
+    syms, y = np.array([[0], [1]]), np.array([[0.3], [1.0]])
+    with pytest.raises(SingularPotentialError):
+        tent2.pull_back(syms, y)
+    x, _ = tent2.pull_back(syms, y, logs=False)
+    assert x.tolist() == [[0.15], [0.5]]

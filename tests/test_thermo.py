@@ -33,9 +33,10 @@ from thermoform.thermo import (
     variation_profile,
     zk_sum,
     _projection_pieces,
+    _pull_words,
 )
 from thermoform.util import IntervalHistogram, bisect_monotone
-from tests.conftest import cheb_acip_bin_masses
+from tests.conftest import cheb_acip_bin_masses, gibbs_for
 
 LOG2 = math.log(2.0)
 
@@ -92,8 +93,8 @@ def test_psi_additive_along_words(cheb_scheme):
     # F(x) on the period-2 orbit; x pulls back from y through w0, y from x
     # through w1.
     words = [(0, 1), (2, 0), (1, 1)]
-    xf, sl, lt = periodic_anchors(cheb_scheme, words)
-    yf, _, _ = periodic_anchors(cheb_scheme, [(w1, w0) for w0, w1 in words])
+    xf, sl, lt, _ = periodic_anchors(cheb_scheme, words)
+    yf, _, _, _ = periodic_anchors(cheb_scheme, [(w1, w0) for w0, w1 in words])
     taus = cheb_scheme.taus
     m, branches = cheb_scheme.map, cheb_scheme.branches
 
@@ -342,6 +343,38 @@ def test_gibbs_sandwich_and_h_bound(tent2_gibbs, cheb_gibbs, cheb_gibbs_t09):
         K = gibbs_sandwich_report(gs, depth=4)
         assert K <= gs.gibbs_constant * (1 + 1e-9)
         assert gs.gibbs_constant <= gs.h_bound * 1.5
+
+
+def sandwich_by_pullback(gs):
+    """gibbs_sandwich_report recomputed by pulling the three base samples
+    back through every stored word."""
+    base = gs.scheme.base_lo + np.array([0.25, 0.5, 0.75]) * gs.scheme.base_width
+    K, first = 1.0, 0
+    for words in gs.words:
+        n, k = words.shape
+        _, sl = _pull_words(gs.scheme, words, np.tile(base, (n, 1)))
+        psi = gs.psi_eff(sl, gs.taus[words].sum(1)[:, None].astype(float), k)
+        ratios = gs.mu_weights[first:first + n, None] / np.exp(psi)
+        K = max(K, float(ratios.max()), float(1.0 / ratios.min()))
+        first += n
+    return K
+
+
+@pytest.mark.parametrize("name, kw", [("cheb", {}), ("tent19", {"weight_depth": 1})])
+def test_sandwich_report_reweights_stored_sums(name, kw, request, gibbs_cache,
+                                               monkeypatch):
+    # two t on one operator: the report reads the sample sums memoised with
+    # the word anchors, exactly as pulling the samples back would give them
+    op = request.getfixturevalue(f"{name}_op")
+    states = [gibbs_for(gibbs_cache, op, t, **kw) for t in (0.9, 1.0)]
+    want = [sandwich_by_pullback(gs) for gs in states]
+    assert [gs.gibbs_constant for gs in states] == want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gibbs_sandwich_report pulled points back")
+
+    monkeypatch.setattr(IntervalMap, "pull_back", refuse)
+    assert [gibbs_sandwich_report(gs) for gs in states] == want
 
 
 def test_gibbs_rho_positive_bounded(cheb_gibbs):
