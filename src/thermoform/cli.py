@@ -99,8 +99,7 @@ def cmd_stability(cfg, out):
     path = os.path.join(out, "stability.csv")
     report_to_csv(report, path)
     print(f"stability sweep {report.family} base {fmt12(report.parameter)}: "
-          f"{len(report.rows)} rows, weight_depth {report.weight_depth} "
-          f"-> {path}")
+          f"{len(report.rows)} rows -> {path}")
     for r in report.rows:
         status = r.error if r.error else "ok"
         print(f"  offset={fmt12(r.offset)} t={fmt12(r.t)} "

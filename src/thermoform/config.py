@@ -37,7 +37,6 @@ _SCHEMA = {
         "grid": (int, 256),
     },
     "gibbs": {
-        "weight_depth": (int, 4),
         "split_parts": (int, 32),
     },
     "output": {
@@ -125,7 +124,6 @@ def resolve(values) -> dict:
 def gibbs_kwargs(v) -> dict:
     """gibbs_state's keyword arguments from resolved config values."""
     return {
-        "weight_depth": v["weight_depth"],
         "pressure_tol": v["tol"],
         "bracket": (v["bracket_lo"], v["bracket_hi"]),
     }
@@ -142,8 +140,8 @@ def _validate(v):
         if v[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     for key, least in (("height", 1), ("grid", 2), ("bins", 1),
-                       ("split_parts", 1), ("n_max", 1), ("weight_depth", 1),
-                       ("max_domains", 1), ("threads", 1)):
+                       ("split_parts", 1), ("n_max", 1), ("max_domains", 1),
+                       ("threads", 1)):
         if v[key] < least:
             raise ConfigError(f"{key} must be >= {least}")
     if not 0 <= v["base_depth"] <= MAX_DEPTH:

@@ -7,8 +7,7 @@ tower -> scheme -> Gibbs state -> projection) for a perturbed parameter and
 is compared against that record, in the same _run_rung whether serial or in
 a pool worker.  Rungs are independent; failures are annotated per rung and
 never silently dropped.  run_sweep reads the config schema's flat
-keys, every stage with the same settings for every map; only the Gibbs
-word depth is capped (SWEEP_WEIGHT_DEPTH).
+keys, every stage with the same settings for every map.
 """
 
 from dataclasses import dataclass
@@ -132,16 +131,6 @@ def cylinder_mass_mismatch(base, scheme_b, gs_b: GibbsState, tau_cap):
 # The sweep harness
 # ---------------------------------------------------------------------------
 
-# A bound on the Gibbs state of every sweep member, which bounds the work of
-# a sweep's one state per (member, t).  The stored word depth changes only the
-# gibbs_k column.  Without the cap, the logistic rung a = 3.995 (342
-# branches, n_max 20) would store depth 3: its 270,234 depth-3 words under
-# the budget n_max + 8 are below thermo.WEIGHT_WORD_LIMIT.  The default tent
-# ladder above s = 1.9 has 335k-883k and stops at depth 2 anyway.  The
-# stability command prints the effective depth.
-SWEEP_WEIGHT_DEPTH = 2
-
-
 @dataclass
 class RungResult:
     offset: float
@@ -169,7 +158,6 @@ class StabilityReport:
     family: str
     parameter: float
     t_values: tuple
-    weight_depth: int       # of the Gibbs states, after the sweep cap
     rows: list              # RungResult, rung by rung, t by t
 
 
@@ -271,9 +259,8 @@ def run_sweep(config, base=None) -> StabilityReport:
 
     The keys are the flat names of the config schema (config.DEFAULTS):
     family and parameter, plus any others to override; unknown keys raise
-    ConfigError.  The Gibbs states use weight_depth capped at
-    SWEEP_WEIGHT_DEPTH.  `base` is the sweep's BaseState when the caller has
-    it (a pool worker); otherwise it is built here, once, and shipped to the
+    ConfigError.  `base` is the sweep's BaseState when the caller has it (a
+    pool worker); otherwise it is built here, once, and shipped to the
     workers.  Deterministic given the config; per-rung errors are annotated,
     never dropped.
     """
@@ -281,7 +268,6 @@ def run_sweep(config, base=None) -> StabilityReport:
     parameter = float(cfg["parameter"])
     t_values = tuple(float(t) for t in cfg["t_values"])
     gibbs = gibbs_kwargs(cfg)
-    gibbs["weight_depth"] = min(gibbs["weight_depth"], SWEEP_WEIGHT_DEPTH)
     if base is None:
         base = _base_state(cfg, gibbs, t_values)
     tasks = [(float(off), parameter + cfg["ladder_direction"] * float(off))
@@ -297,7 +283,6 @@ def run_sweep(config, base=None) -> StabilityReport:
     else:
         chunks = [_run_rung(cfg, gibbs, base, off, p) for off, p in tasks]
     return StabilityReport(cfg["family"], parameter, t_values,
-                           gibbs["weight_depth"],
                            [row for chunk in chunks for row in chunk])
 
 

@@ -1,20 +1,15 @@
 """Induced thermodynamics: variations, partition sums, pressure, Gibbs states.
 
-All induced-word bookkeeping is anchored at periodic points of composed
-inverse branches (each word cylinder contains exactly one), and every
-quantity depending on (t, s) factors through the t- and s-independent orbit
-data (sum of log|Df| and total time), so pressure root-finding reuses one
-enumeration.
-
-Words of depth k are (n, k) int arrays of branch indices.  The per-scheme
-state (the branch pullbacks of the base grid with their orbit sums, and the
-memo of word data: anchors, their orbit sums and the orbit sums of the
-sandwich samples, so gibbs_sandwich_report pulls nothing back per t) lives
-in one SpectralOperator that the caller builds for each scheme and passes
-to pressure_estimate, solve_pressure and gibbs_state; the operator matrix
-is assembled from it for each (t, s).
-Nothing is kept at module level, so a result depends on (scheme, grid, t)
-and not on which calls came before it.
+Every quantity depending on (t, s) factors through t- and s-independent
+orbit data (sums of log|Df| and total times), so one pullback serves every
+(t, s).  The per-scheme state lives in one SpectralOperator that the caller
+builds for each scheme and passes to pressure_estimate, solve_pressure and
+gibbs_state: the branch pullbacks of the base grid with their orbit sums,
+from which the operator matrix is assembled for each (t, s), and a memo of
+word data (the anchors of periodic_anchors and their orbit sums) for the
+branch potential and the Z_k partition sums.  Words of depth k are (n, k)
+int arrays of branch indices.  Nothing is kept at module level, so a result
+depends on (scheme, grid, t) and not on which calls came before it.
 """
 
 from dataclasses import dataclass, field
@@ -43,13 +38,6 @@ VARIATION_KMAX = 4              # depths gibbs_state passes to variation_profile
 CONFORMAL_CONTINUATIONS = 64    # continuations checked by conformality_report
 TIE_RTOL = 1e-12                # masses this close count as equal in _strongest
 PROJECTION_CHUNK = 1 << 16      # split points project_measure iterates at once
-# gibbs_state stores the words of total time <= n_max + WEIGHT_SLACK, depth by
-# depth, up to the first depth with more than WEIGHT_WORD_LIMIT of them
-WEIGHT_SLACK = 8
-WEIGHT_WORD_LIMIT = 300_000
-# base points, as fractions of the base, at which gibbs_sandwich_report
-# evaluates each word's potential
-SANDWICH_SAMPLES = np.array([0.25, 0.5, 0.75])
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +115,9 @@ def periodic_anchors(scheme: InducingScheme, words):
 
     Iterates the contraction from the base midpoint until the update falls
     below FIX_TOL (cap FIX_ITERS) and verifies contraction by two-point
-    shrinkage.  Returns (x_fix, sumlog, total_tau, sample_sumlog) aligned
-    with words; sample_sumlog is the (n, 3) sum of log|Df| along the word
-    from the base samples SANDWICH_SAMPLES, pulled back in the same sweep as
-    the anchors.
+    shrinkage.  Returns (x_fix, sumlog, total_tau) aligned with words:
+    the anchor, the sum of log|Df| along its orbit and the word's total
+    inducing time.
 
     FIX_TOL only stops the iteration; it is not an error bound.  The anchor
     error is set by cancellation in the inverse branches where a chain
@@ -141,8 +128,6 @@ def periodic_anchors(scheme: InducingScheme, words):
     n = len(words)
     xf, sl = np.empty(n), np.empty(n)
     lt = np.empty(n, dtype=int)
-    samples = scheme.base_lo + SANDWICH_SAMPLES * scheme.base_width
-    ssl = np.empty((n, len(samples)))
     mid = 0.5 * (scheme.base_lo + scheme.base_hi)
     probe = scheme.base_lo + 0.25 * scheme.base_width
     for rows, sym in _group_words(scheme, words):
@@ -168,22 +153,9 @@ def periodic_anchors(scheme: InducingScheme, words):
         # iteration expands the anchor error by |DF| each return; on the
         # Chebyshev base (0, 1) it leaves a 2-word cylinder after one return
         # of 20 steps.
-        _, logd = m.pull_back(sym, np.column_stack(
-            [x, np.tile(samples, (len(rows), 1))]))
-        xf[rows], sl[rows], lt[rows], ssl[rows] = x, logd[:, 0], L, logd[:, 1:]
-    return xf, sl, lt, ssl
-
-
-def count_words(scheme, k, budget):
-    """Number of k-words with total time <= budget, without enumerating."""
-    taus = scheme.taus
-    if budget is None:
-        return len(taus) ** k
-    hist = np.bincount(taus, minlength=budget + 1)[: budget + 1].astype(float)
-    ways = hist.copy()
-    for _ in range(k - 1):
-        ways = np.convolve(ways, hist)[: budget + 1]
-    return int(round(ways.sum()))
+        _, logd = m.pull_back(sym, x)
+        xf[rows], sl[rows], lt[rows] = x, logd, L
+    return xf, sl, lt
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +190,7 @@ def induced_potential(op, t, s) -> InducedPotential:
     """Branch potential data at the branch fixed points, from the orbit data
     held by the scheme's SpectralOperator `op`."""
     scheme = op.scheme
-    _, xf, slf, _, _ = op.word_data(1, None)
+    _, xf, slf, _ = op.word_data(1, None)
     return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf)
 
 
@@ -287,7 +259,7 @@ def zk_sum(op, pot: InducedPotential, k, N):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, _, sl, lt, _ = op.word_data(k, N)
+    _, _, sl, lt = op.word_data(k, N)
     if len(sl) == 0:
         return 0.0
     return float(np.exp(-pot.t * sl - pot.s * lt).sum())
@@ -307,9 +279,8 @@ class SpectralOperator:
     builds one operator per scheme and passes it to pressure_estimate,
     solve_pressure and gibbs_state; it also holds a memo of word data
     (`word_data`, whose depth-1 words are the branch anchors) with each
-    word's anchor and the orbit sums of the anchor and of the sandwich
-    samples, and is freed with the caller's reference.  No (t, s) state is
-    kept between calls.
+    word's anchor and its orbit sums, and is freed with the caller's
+    reference.  No (t, s) state is kept between calls.
 
     L is held dense.  Its interpolation stencil has two entries per branch
     and cell, so with more than G / 2 branches (276 on Chebyshev at n_max 24,
@@ -327,20 +298,16 @@ class SpectralOperator:
         Y, self.sumlog = _pull_words(scheme, np.arange(B)[:, None],
                                      np.tile(self.xs, (B, 1)))
         self.tau = scheme.taus.astype(float)
-        self.idx, self.frac = self._cells(Y)
+        # per preimage: the index of the cell centre at or left of it
+        # (clamped to the grid) and its fraction of the way to the next one
+        pos = (Y - self.xs[0]) / self.h
+        self.idx = np.clip(np.floor(pos).astype(int), 0, G - 2)
+        self.frac = np.clip(pos - self.idx, 0.0, 1.0)
         self._words = {}
 
-    def _cells(self, x):
-        """Per point of x: the index idx of the cell centre at or left of it
-        (clamped to the grid) and its fraction of the way to xs[idx + 1]."""
-        pos = (np.asarray(x, dtype=float) - self.xs[0]) / self.h
-        idx = np.clip(np.floor(pos).astype(int), 0, len(self.xs) - 2)
-        return idx, np.clip(pos - idx, 0.0, 1.0)
-
     def word_data(self, k, budget):
-        """(words, x_fix, sumlog, total_tau, sample_sumlog) of the k-words
-        with total time <= budget (periodic_anchors), computed once per
-        (k, budget)."""
+        """(words, x_fix, sumlog, total_tau) of the k-words with total time
+        <= budget (periodic_anchors), computed once per (k, budget)."""
         if (k, budget) not in self._words:
             words = enumerate_words(self.scheme, k, budget)
             self._words[k, budget] = (words, *periodic_anchors(self.scheme, words))
@@ -368,11 +335,6 @@ class SpectralOperator:
         sum 1), from the uniform masses."""
         G = len(self.xs)
         return _power(self.matrix(W).T, np.full(G, 1.0 / G), tol, max_iter)
-
-    def interp(self, x, g):
-        """Evaluate a grid function at arbitrary points."""
-        idx, frac = self._cells(x)
-        return g[idx] * (1.0 - frac) + g[idx + 1] * frac
 
 
 def _power(M, v, tol, max_iter):
@@ -461,12 +423,7 @@ class GibbsState:
     nu_grid: np.ndarray = field(repr=False)     # conformal cell masses, sum 1
     branch_mu: np.ndarray = field(repr=False)   # invariant branch masses, sum 1
     branch_m: np.ndarray = field(repr=False)    # conformal branch masses, sum 1
-    words: tuple = field(repr=False)            # (n_k, k) word arrays, k = 1, 2, ...
-    mu_weights: np.ndarray = field(repr=False)  # anchored invariant masses
-    weight_depth: int = 1
-    weight_sums: tuple = ()
     gibbs_constant: float = 1.0
-    h_bound: float = 1.0
     variation: VariationProfile = None
     _op: SpectralOperator = field(default=None, repr=False)
     _W: np.ndarray = field(default=None, repr=False)
@@ -477,6 +434,13 @@ class GibbsState:
     def taus(self):
         return self.scheme.taus
 
+    @property
+    def mu_weights(self):
+        """The invariant branch masses, under the name the benchmark tracer
+        (perfbench/spans.py) reads to count the masses gibbs_sandwich_report
+        weighs."""
+        return self.branch_mu
+
     def psi_eff(self, sumlog, total_tau, k):
         """Normalised k-step potential Phi - s*tau - k log(lambda)."""
         return (-self.t * np.asarray(sumlog)
@@ -484,18 +448,15 @@ class GibbsState:
                 - k * self.log_lambda)
 
 
-def gibbs_state(op, t, weight_depth=4, pressure_tol=1e-4,
-                bracket=(-5.0, 5.0)) -> GibbsState:
-    """Pressure root, density, conformal/invariant cylinder weights on the
+def gibbs_state(op, t, pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
+    """Pressure root, density, conformal/invariant branch masses on the
     scheme of the SpectralOperator `op`.
 
     The density rho and lambda are the leading eigenpair of L_Psi on the
     base grid at the pressure root, from SpectralOperator.eigen (which
     raises TransferOperatorDivergedError at its iteration cap); lambda is
-    folded into the normalised potential so stored weights satisfy the Gibbs
-    property with zero pressure.  The stored words are complete
-    (budget-truncated) word sets, one array per depth from depth 1, and the
-    weight arrays run over them depth by depth.
+    folded into the normalised potential, so the branch weights satisfy the
+    Gibbs property with zero pressure.
     """
     scheme = op.scheme
     s_star = solve_pressure(op, t, bracket=bracket, tol=pressure_tol)
@@ -508,8 +469,7 @@ def gibbs_state(op, t, weight_depth=4, pressure_tol=1e-4,
     g = g / float((nu * g).sum())
 
     # Operator-quadrature branch masses: mu(X_i) = sum_l nu_l W_il rho(y_il),
-    # m(X_i) = sum_l nu_l W_il (exact up to grid interpolation; the anchored
-    # word weights keep the Z_k bookkeeping but are 1-point estimates).
+    # m(X_i) = sum_l nu_l W_il (exact up to grid interpolation).
     Wn = W * math.exp(-log_lam)
     GY = g[op.idx] * (1.0 - op.frac) + g[op.idx + 1] * op.frac
     branch_mu_op = (Wn * GY * nu[None, :]).sum(axis=1)
@@ -518,37 +478,13 @@ def gibbs_state(op, t, weight_depth=4, pressure_tol=1e-4,
     branch_mu_op = branch_mu_op / float(branch_mu_op.sum())
     branch_m_op = branch_m_op / m_norm
 
-    budget = scheme.n_max + WEIGHT_SLACK
-    words, depth_sums, mu_raw = [], [], []
-    for k in range(1, weight_depth + 1):
-        # Stop at the depth where complete enumeration stops being tractable;
-        # stored depths then carry complete (budget-truncated) word sets.
-        if k > 1 and count_words(scheme, k, budget) > WEIGHT_WORD_LIMIT:
-            break
-        wk, xfk, slk, ltk, _ = op.word_data(k, budget)
-        if not len(wk):
-            break
-        mk = np.exp(-t * slk - s_star * ltk.astype(float) - k * log_lam)
-        words.append(wk)
-        depth_sums.append(float(mk.sum()))
-        mu_raw.append(mk * op.interp(xfk, g))
-
-    c_m = 1.0 / max(depth_sums)
-    c_mu = 1.0 / float(mu_raw[0].sum())
-
-    _, xf, slf, _, _ = op.word_data(1, budget)
-    pot = InducedPotential(scheme, float(t), s_star, scheme.taus, xf, slf)
-    var = variation_profile(scheme, pot, VARIATION_KMAX)
+    var = variation_profile(scheme, induced_potential(op, t, s_star),
+                            VARIATION_KMAX)
 
     gs = GibbsState(
         scheme=scheme, t=float(t), pressure=s_star, log_lambda=log_lam,
         rho_grid=g, nu_grid=nu, branch_mu=branch_mu_op, branch_m=branch_m_op,
-        words=tuple(words),
-        mu_weights=np.concatenate(mu_raw) * c_mu,
-        weight_depth=len(words),
-        weight_sums=tuple(d * c_m for d in depth_sums),
-        h_bound=float(var.B[0] ** 4), variation=var,
-        _op=op, _W=Wn, _GY=GY, _m_norm=m_norm,
+        variation=var, _op=op, _W=Wn, _GY=GY, _m_norm=m_norm,
     )
     gs.gibbs_constant = gibbs_sandwich_report(gs)
     return gs
@@ -745,26 +681,18 @@ def conformality_report(gs: GibbsState):
     return float((np.abs(lhs - rhs) / lhs).max())
 
 
-def gibbs_sandwich_report(gs: GibbsState, depth=None):
-    """Largest two-sided ratio mu(C_w)/e^(Psi_k) over stored words.
+def gibbs_sandwich_report(gs: GibbsState):
+    """The depth-1 Gibbs constant K: the largest two-sided ratio
+    mu(X_i) / e^(Psi_1(y_il)) over every branch i and the branch-i preimage
+    y_il of every base node.
 
-    Psi_k is taken at the three base samples SANDWICH_SAMPLES pulled back
-    through each word, against the word's anchored mass.  Their orbit sums
-    are t-independent and sit in the operator's word memo beside the
-    anchors, so the report only reweights them; it pulls nothing back.
+    Psi_1 is the normalised potential the operator quadrature already holds
+    (the weights gs._W), so the report pulls nothing back.  The Gibbs
+    property asks for one K at every depth; this is its depth-1 value, and
+    so a lower bound on the sup over all depths.
     """
-    depth = depth or gs.weight_depth
-    budget = gs.scheme.n_max + WEIGHT_SLACK
-    K = 1.0
-    first = 0
-    for k, words in enumerate(gs.words[:depth], 1):
-        n = len(words)
-        _, _, _, lt, sl = gs._op.word_data(k, budget)
-        psi = gs.psi_eff(sl, lt[:, None].astype(float), k)
-        ratios = gs.mu_weights[first:first + n, None] / np.exp(psi)
-        K = max(K, float(ratios.max()), float(1.0 / ratios.min()))
-        first += n
-    return K
+    r = gs.branch_mu[:, None] / gs._W
+    return max(1.0, float(r.max()), float(1.0 / r.min()))
 
 
 def tau_mean_consistency(gs: GibbsState):

@@ -123,7 +123,7 @@ def cheb_gibbs_t09(cheb_op, gibbs_cache):
 
 @pytest.fixture(scope="session")
 def tent19_gibbs(tent19_op, gibbs_cache):
-    return gibbs_for(gibbs_cache, tent19_op, 1.0, weight_depth=1)
+    return gibbs_for(gibbs_cache, tent19_op, 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -150,7 +150,6 @@ SWEEP_CONFIG = {
     "n_max": 20,
     "bins": 4096,
     "split_parts": 8,
-    "weight_depth": 1,
 }
 
 LOGISTIC_SWEEP_CONFIG = {
@@ -163,7 +162,6 @@ LOGISTIC_SWEEP_CONFIG = {
     "n_max": 20,
     "bins": 2048,
     "split_parts": 8,
-    "weight_depth": 1,
 }
 
 

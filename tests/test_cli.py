@@ -26,9 +26,9 @@ CHEB16 = {"experiment": {"family": "cheb", "t_values": "0.9 1.0", "n_max": 16,
 # claims identical output must reproduce it
 CHEB16_GOLDEN = [
     "t=0.9 P=0.0692496448755 tau_mean=3.99657862999 lyapunov=0.693846748973 "
-    "K=1.64570985538",
+    "K=1.36364690582",
     "t=1 P=-6.51180744171e-05 tau_mean=3.99657712479 lyapunov=0.693846692723 "
-    "K=1.73834685451",
+    "K=1.41146077583",
 ]
 
 
@@ -88,6 +88,9 @@ def test_config_errors_exit_2(tmp_path):
     for key, value in (("rho_tol", 1e-8), ("rho_iters", 1000)):
         assert run_cli(tmp_path, "equilibrium",
                        dict(TENT2, gibbs={key: value})) == 2
+    # the Gibbs constant comes from the operator's branch weights, no words
+    assert run_cli(tmp_path, "equilibrium",
+                   dict(TENT2, gibbs={"weight_depth": 4})) == 2
     cfg = write_config(tmp_path / "config.ini", TENT2)
     with pytest.raises(SystemExit) as exc:
         main(["equilibrium", "--config", cfg, "--plot"])
@@ -102,7 +105,6 @@ def test_config_errors_exit_2(tmp_path):
     ("partition", "experiment", "base_depth", -1),
     ("partition", "experiment", "base_depth", 21),
     ("induce", "experiment", "n_max", 0),
-    ("equilibrium", "gibbs", "weight_depth", 0),
     ("tower", "tower", "max_domains", 0),
     ("stability", "output", "threads", 0),
 ])
@@ -132,12 +134,11 @@ def test_stability_honours_bracket_and_max_domains(tmp_path):
                    dict(TENT19, tower={"max_domains": 1})) == 1
 
 
-def test_stability_prints_capped_weight_depth(tmp_path, capsys):
-    assert run_cli(tmp_path, "stability",
-                   dict(TENT19, gibbs={"weight_depth": 4})) == 0
+def test_stability_prints_summary_line(tmp_path, capsys):
+    assert run_cli(tmp_path, "stability", TENT19) == 0
     summary = capsys.readouterr().out.splitlines()[0]
-    assert summary.startswith("stability sweep tent base 1.9: 1 rows, ")
-    assert "weight_depth 2 ->" in summary
+    path = tmp_path / "out" / "stability.csv"
+    assert summary == f"stability sweep tent base 1.9: 1 rows -> {path}"
 
 
 def load_spans():

@@ -26,7 +26,7 @@ def test_defaults_match_schema(tmp_path):
             assert key not in want, f"{key} in two sections"
             want[key] = default
     assert DEFAULTS == want
-    assert len(DEFAULTS) == 21
+    assert len(DEFAULTS) == 20
     cfg = load_config(write(tmp_path, "[experiment]\nfamily = cheb\n"), env={})
     assert cfg == dict(DEFAULTS, family="cheb")
 
@@ -65,8 +65,7 @@ def test_bool_and_float_list_parsing(tmp_path):
 def test_gibbs_kwargs_renames():
     kw = gibbs_kwargs(resolve({"family": "cheb", "tol": 1e-6,
                                "bracket_lo": -1.0, "bracket_hi": 2.0}))
-    assert kw == {"weight_depth": 4, "pressure_tol": 1e-6,
-                  "bracket": (-1.0, 2.0)}
+    assert kw == {"pressure_tol": 1e-6, "bracket": (-1.0, 2.0)}
 
 
 def signature_defaults(fn):

@@ -11,7 +11,7 @@ from tests.conftest import SWEEP_CONFIG
 
 CONFIG = {"family": "tent", "parameter": 1.9, "t_values": (1.0,),
           "ladder": (0.005,), "ladder_direction": -1.0, "base_depth": 2,
-          "n_max": 12, "bins": 512, "split_parts": 8, "weight_depth": 1}
+          "n_max": 12, "bins": 512, "split_parts": 8}
 
 
 def test_rung_assembly_error_keeps_c2(monkeypatch):
