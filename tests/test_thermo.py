@@ -34,7 +34,7 @@ from thermoform.thermo import (
     _projection_pieces,
 )
 from thermoform.util import IntervalHistogram, bisect_monotone
-from tests.conftest import cheb_acip_bin_masses
+from tests.conftest import cheb_acip_bin_masses, gibbs_for
 
 LOG2 = math.log(2.0)
 
@@ -317,29 +317,46 @@ def test_gibbs_eigen_residual(tent2_gibbs, cheb_gibbs, cheb_gibbs_t09):
         assert float(np.max(np.abs(left - nu))) <= 1e-10 * float(np.max(nu))
 
 
-def test_gibbs_constant_from_operator_weights(cheb_op, cheb_gibbs_t09, cheb_gibbs,
-                                             tent2_gibbs, tent19_gibbs,
-                                             monkeypatch):
-    # K is the sup/inf over branches i and base nodes x of mu(X_i) over
-    # e^(Psi_1) at the branch-i preimage of x, with Psi_1 recomputed here
-    # from the operator's orbit sums and the state's P and lambda
-    for gs in (cheb_gibbs_t09, cheb_gibbs):
-        psi = gs.psi_eff(cheb_op.sumlog, gs.taus[:, None], 1)
-        r = gs.branch_mu[:, None] / np.exp(psi)
-        want = max(1.0, float(r.max()), float(1.0 / r.min()))
-        assert want > 1.0
-        assert gs.gibbs_constant == pytest.approx(want, rel=1e-12)
+def test_gibbs_sandwich_and_h_bound(tent2_gibbs, cheb_gibbs, cheb_gibbs_t09):
+    # the report is the stored K, which stays within 1.5 B_0^4 (B_0 the
+    # depth-0 variation bound of e^(Psi)); constant slope gives K = 1
+    for gs in (tent2_gibbs, cheb_gibbs, cheb_gibbs_t09):
+        K = gibbs_sandwich_report(gs)
+        assert K <= gs.gibbs_constant * (1 + 1e-9)
         assert gs.gibbs_constant <= 1.5 * gs.variation.B[0] ** 4
-    # constant slope: rho is constant and mu(X_i) = e^(Psi_1) on all of X_i
-    for gs in (tent2_gibbs, tent19_gibbs):
-        assert gs.gibbs_constant == pytest.approx(1.0, abs=1e-9)
+    assert tent2_gibbs.gibbs_constant == pytest.approx(1.0, abs=1e-9)
+
+
+def sandwich_by_operator_sums(gs, op):
+    """The depth-1 Gibbs constant recomputed from the operator's orbit sums
+    and the state's pressure and lambda: the sup/inf over branches i and base
+    nodes x of mu(X_i) / e^(Psi_1) at the branch-i preimage of x."""
+    psi = gs.psi_eff(op.sumlog, gs.taus[:, None], 1)
+    r = gs.branch_mu[:, None] / np.exp(psi)
+    return max(1.0, float(r.max()), float(1.0 / r.min()))
+
+
+@pytest.mark.parametrize("name, kw", [("cheb", {}), ("tent19", {"pressure_tol": 1e-6})])
+def test_sandwich_report_reweights_stored_sums(name, kw, request, gibbs_cache,
+                                               monkeypatch):
+    # two t on one operator: K reweights the branch weights the operator
+    # quadrature already holds, exactly as recomputing Psi_1 gives them
+    op = request.getfixturevalue(f"{name}_op")
+    states = [gibbs_for(gibbs_cache, op, t, **kw) for t in (0.9, 1.0)]
+    want = [sandwich_by_operator_sums(gs, op) for gs in states]
+    assert [gs.gibbs_constant for gs in states] == pytest.approx(want, rel=1e-12)
+    if name == "tent19":
+        # constant slope: rho is constant and mu(X_i) = e^(Psi_1) on all of X_i
+        assert want == pytest.approx([1.0, 1.0], abs=1e-9)
+    else:
+        assert min(want) > 1.0
 
     def refuse(*args, **kwargs):
         raise AssertionError("gibbs_sandwich_report pulled points back")
 
     monkeypatch.setattr(IntervalMap, "pull_back", refuse)
-    for gs in (cheb_gibbs_t09, cheb_gibbs, tent2_gibbs, tent19_gibbs):
-        assert gibbs_sandwich_report(gs) == gs.gibbs_constant
+    assert [gibbs_sandwich_report(gs) for gs in states] == \
+        [gs.gibbs_constant for gs in states]
 
 
 def test_gibbs_rho_positive_bounded(cheb_gibbs):
