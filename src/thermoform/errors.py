@@ -71,7 +71,8 @@ class LowCoverageWarning(UserWarning):
 
 
 class UnstablePressureWarning(UserWarning):
-    """Pressure residual above tolerance; the root may be unreliable."""
+    """The pressure root search hit its step cap or left a residual above
+    tolerance; the root may be unreliable."""
 
 
 class VariationNotSummableWarning(UserWarning):

@@ -55,8 +55,8 @@ class IntervalMap:
     df: callable = field(repr=False)
     d2f: callable = field(repr=False)
     critical_points: tuple
-    # (b, y) -> preimage; b is a branch index or an array of them that
-    # broadcasts against y
+    # (b, y) -> preimage as a new array, which invert clips in place; b is a
+    # branch index or an array of them that broadcasts against y
     branch_inverse: callable = field(repr=False)
     growth: GrowthClass = None
 
@@ -81,12 +81,13 @@ class IntervalMap:
 
     def invert(self, b, y):
         """Preimage of y under f restricted to branch b (vectorised): the
-        family's closed-form inverse, clipped to the branch.  b is a branch
-        index or an integer array of them that broadcasts against y."""
+        family's closed-form inverse, clipped to the branch in its own
+        buffer.  b is a branch index or an integer array of them that
+        broadcasts against y."""
         e = np.asarray(self.branch_edges)
         b = np.asarray(b)
-        return np.clip(self.branch_inverse(b, np.asarray(y, dtype=float)),
-                       e[b], e[b + 1])
+        x = self.branch_inverse(b, np.asarray(y, dtype=float))
+        return np.clip(x, e[b], e[b + 1], out=x)
 
     def pull_back(self, symbols, points, logs=True):
         """Pull points back through the level-1 branches coded by `symbols`.
@@ -322,10 +323,16 @@ def logistic_map(a, family="logistic"):
         return np.full_like(np.asarray(x, dtype=float), -2.0 * a)
 
     def inv(b, y):
-        r = np.sqrt(np.maximum(0.25 - np.asarray(y, dtype=float) / a, 0.0))
-        # 2b - 1 is -1 on the left branch and 1 on the right; -1.0 * r is
-        # -r and 0.5 + (-r) is 0.5 - r, exactly
-        return 0.5 + (2 * b - 1) * r
+        # 0.5 -+ sqrt(max(0.25 - y/a, 0)) in one buffer: y / -a + 0.25 is
+        # 0.25 - y/a exactly, and 2b - 1 is -1 on the left branch and 1 on
+        # the right, so the product and the sum round as 0.5 -+ r does
+        x = np.empty(np.broadcast_shapes(np.shape(b), np.shape(y)))
+        np.divide(y, -a, out=x)
+        x += 0.25
+        np.sqrt(np.maximum(x, 0.0, out=x), out=x)
+        x *= 2 * b - 1
+        x += 0.5
+        return x
 
     crit = (CriticalPoint(0.5, 2.0, "maximum"),)
     growth = GrowthClass("exponential", 1.0, math.log(4.0)) if a == 4.0 else None

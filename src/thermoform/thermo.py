@@ -5,11 +5,17 @@ orbit data (sums of log|Df| and total times), so one pullback serves every
 (t, s).  The per-scheme state lives in one SpectralOperator that the caller
 builds for each scheme and passes to pressure_estimate, solve_pressure and
 gibbs_state: the branch pullbacks of the base grid with their orbit sums,
-from which the operator matrix is assembled for each (t, s), and a memo of
+from which the operator matrix is assembled for each (t, s), a memo of
 word data (the anchors of periodic_anchors and their orbit sums) for the
-branch potential and the Z_k partition sums.  Words of depth k are (n, k)
+branch potential and the Z_k partition sums, and a memo of the
+first-branch sums variation_profile samples.  Words of depth k are (n, k)
 int arrays of branch indices.  Nothing is kept at module level, so a result
 depends on (scheme, grid, t) and not on which calls came before it.
+
+The pressure P(phi_t) is the root s* of s -> P_G(Phi - s tau), found by
+Illinois false position, one matrix assembly and eigen solve per step;
+gibbs_state then assembles the matrix once more, at s*, for the eigenvalue
+and both eigenvectors.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +34,7 @@ from .errors import (
 )
 from .inducing import InducingScheme
 from .maps import IntervalMap
-from .util import IntervalHistogram, fmt12
+from .util import IntervalHistogram
 
 FIX_TOL = 1e-15
 FIX_ITERS = 200
@@ -38,6 +44,10 @@ VARIATION_KMAX = 4              # depths gibbs_state passes to variation_profile
 CONFORMAL_CONTINUATIONS = 64    # continuations checked by conformality_report
 TIE_RTOL = 1e-12                # masses this close count as equal in _strongest
 PROJECTION_CHUNK = 1 << 16      # split points project_measure iterates at once
+ROOT_RESIDUAL = 1e-14           # |P_G| at which solve_pressure stops
+ROOT_ITERS = 100                # false-position steps solve_pressure allows
+EIGEN_TOL = 1e-12               # relative eigenvalue change of a converged _power
+EIGEN_ITERS = 3000              # power steps before TransferOperatorDivergedError
 
 
 # ---------------------------------------------------------------------------
@@ -208,30 +218,22 @@ class VariationProfile:
     tail_rate: float
 
 
-def variation_profile(scheme, pot: InducedPotential, k_max) -> VariationProfile:
+def variation_profile(op, pot: InducedPotential, k_max) -> VariationProfile:
+    """V_1..V_k_max of the potential `pot` on the scheme of the
+    SpectralOperator `op`, sampled at three points of each word's cylinder;
+    the sums are pulled back once per alphabet (op.first_branch_sums) and
+    reweighted by pot.t here."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    taus = scheme.taus
-    base = scheme.base_lo + np.array([1 / 6, 1 / 2, 5 / 6]) * scheme.base_width
     # Sample words over the heaviest branches so deep levels stay tractable:
     # alphabet size drops with depth, keeping ~VARIATION_WORDS words per level.
     rank = np.argsort(-np.exp(pot.psi_fix), kind="stable")
     Vs = []
     for k in range(1, k_max + 1):
         nb = max(2, int(round(VARIATION_WORDS ** (1.0 / k))))
-        alphabet = np.sort(rank[:nb])
-        words = alphabet[np.indices((len(alphabet),) * k).reshape(k, -1).T]
-        words = words[taus[words].sum(1) <= scheme.n_max + 2 * k]
-        if not len(words):
-            Vs.append(0.0)
-            continue
-        # The first branch's share of the sum: pull the samples back through
-        # the word's tail, then through its first branch.
-        tail, _ = _pull_words(scheme, words[:, 1:],
-                              np.tile(base, (len(words), 1)), logs=False)
-        _, sl_first = _pull_words(scheme, words[:, :1], tail)
+        sl_first = op.first_branch_sums(k, np.sort(rank[:nb]))
         psi = -pot.t * sl_first  # the -s*tau1 shift is constant per word
-        Vs.append(float((psi.max(axis=1) - psi.min(axis=1)).max()))
+        Vs.append(float((psi.max(axis=1) - psi.min(axis=1)).max()) if len(psi) else 0.0)
     V = np.array(Vs)
     lam = 1.0
     pos = np.nonzero(V > 1e-14)[0]
@@ -275,12 +277,15 @@ class SpectralOperator:
     linear interpolation of g.
 
     Branch pullbacks and orbit sums are (t, s)-independent; they are computed
-    once, and `matrix` assembles L for each (t, s) from them.  The caller
-    builds one operator per scheme and passes it to pressure_estimate,
-    solve_pressure and gibbs_state; it also holds a memo of word data
-    (`word_data`, whose depth-1 words are the branch anchors) with each
-    word's anchor and its orbit sums, and is freed with the caller's
-    reference.  No (t, s) state is kept between calls.
+    once, and `matrix` assembles L for each (t, s) from them: `eigen` for
+    one pressure estimate, gibbs_state once at the root for `eigen`'s pair
+    and `left_eigen`'s vector.  The caller builds one operator per scheme
+    and passes it to pressure_estimate, solve_pressure and gibbs_state; it
+    also holds two memos of t-independent sums, freed with the caller's
+    reference: word data (`word_data`, whose depth-1 words are the branch
+    anchors) with each word's anchor and its orbit sums, and the
+    first-branch sums of variation_profile's sampled words
+    (`first_branch_sums`).  No (t, s) state is kept between calls.
 
     L is held dense.  Its interpolation stencil has two entries per branch
     and cell, so with more than G / 2 branches (276 on Chebyshev at n_max 24,
@@ -304,6 +309,7 @@ class SpectralOperator:
         self.idx = np.clip(np.floor(pos).astype(int), 0, G - 2)
         self.frac = np.clip(pos - self.idx, 0.0, 1.0)
         self._words = {}
+        self._first_sums = {}
 
     def word_data(self, k, budget):
         """(words, x_fix, sumlog, total_tau) of the k-words with total time
@@ -312,6 +318,25 @@ class SpectralOperator:
             words = enumerate_words(self.scheme, k, budget)
             self._words[k, budget] = (words, *periodic_anchors(self.scheme, words))
         return self._words[k, budget]
+
+    def first_branch_sums(self, k, alphabet):
+        """variation_profile's samples at depth k: for every k-word over the
+        sorted branch indices `alphabet` with total time <= n_max + 2k, the
+        sums of log|Df| over the word's first branch at three base points
+        pulled back through the whole word.  Computed once per (k, alphabet);
+        the sums are t-independent."""
+        key = (k, alphabet.tobytes())
+        if key not in self._first_sums:
+            scheme = self.scheme
+            words = alphabet[np.indices((len(alphabet),) * k).reshape(k, -1).T]
+            words = words[scheme.taus[words].sum(1) <= scheme.n_max + 2 * k]
+            base = scheme.base_lo + np.array([1 / 6, 1 / 2, 5 / 6]) * scheme.base_width
+            # pull the samples back through the word's tail, then through
+            # its first branch
+            tail, _ = _pull_words(scheme, words[:, 1:],
+                                  np.tile(base, (len(words), 1)), logs=False)
+            self._first_sums[key] = _pull_words(scheme, words[:, :1], tail)[1]
+        return self._first_sums[key]
 
     def weights(self, t, s):
         return np.exp(-t * self.sumlog - s * self.tau[:, None])
@@ -325,16 +350,17 @@ class SpectralOperator:
         M += np.bincount(flat + 1, (W * self.frac).ravel(), G * G)
         return M.reshape(G, G)
 
-    def eigen(self, t, s, tol=1e-12, max_iter=3000):
-        """Leading eigenvalue and positive eigenfunction, from g = 1."""
+    def eigen(self, t, s, tol=EIGEN_TOL, max_iter=EIGEN_ITERS):
+        """Leading eigenvalue and positive eigenfunction of L at (t, s),
+        from g = 1."""
         M = self.matrix(self.weights(t, s))
         return _power(M, np.ones(len(self.xs)), tol, max_iter)
 
-    def left_eigen(self, W, tol=1e-12, max_iter=3000):
-        """Leading left eigenvector (cell masses of the conformal measure,
-        sum 1), from the uniform masses."""
+    def left_eigen(self, M, tol=EIGEN_TOL, max_iter=EIGEN_ITERS):
+        """Leading left eigenvector of the assembled matrix M (cell masses of
+        the conformal measure, sum 1), from the uniform masses."""
         G = len(self.xs)
-        return _power(self.matrix(W).T, np.full(G, 1.0 / G), tol, max_iter)
+        return _power(M.T, np.full(G, 1.0 / G), tol, max_iter)
 
 
 def _power(M, v, tol, max_iter):
@@ -373,40 +399,51 @@ def pressure_estimate(op, t, s):
 
 
 def solve_pressure(op, t, bracket=(-5.0, 5.0), tol=1e-4):
-    """Root of s -> P_G(Phi - s tau) by bisection.
+    """Root s* of s -> P_G(Phi - s tau) by Illinois false position.
 
-    The map is strictly decreasing in s because tau >= 1; bisection inside
-    the bracket is unconditionally safe.  Returns s* with |P_G(s*)| < tol.
+    P_G is strictly decreasing in s because tau >= 1, and convex because
+    the matrix entries are log-convex in s, so a secant step inside the
+    bracket is safe; Illinois halves the value kept at an end that survives
+    two steps in a row, so that end moves too (Dowell and Jarratt, 1971).
+    The two bracket evaluations are the first two points.  The iteration
+    stops when |P_G| <= ROOT_RESIDUAL, or when the bracket has shrunk to a
+    few ulps, and returns the last point evaluated.  `tol` is only the
+    residual above which UnstablePressureWarning is raised, as it is when
+    ROOT_ITERS steps do not stop.
     """
-    lo, hi = bracket
-    glo, ghi = pressure_estimate(op, t, lo), pressure_estimate(op, t, hi)
-    if not (glo > 0.0 > ghi):
+    a, b = bracket
+    fa, fb = pressure_estimate(op, t, a), pressure_estimate(op, t, b)
+    if not (fa > 0.0 > fb):
         raise PressureUnbracketedError(
-            f"P_G({lo})={glo:.3g}, P_G({hi})={ghi:.3g}: no root in bracket"
+            f"P_G({a})={fa:.3g}, P_G({b})={fb:.3g}: no root in bracket"
         )
-    a, b = lo, hi
-    s_star, resid = None, None
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        val = pressure_estimate(op, t, mid)
-        if val > 0.0:
-            a = mid
+    kept = 0    # +1 when the last step kept b, -1 when it kept a
+    for _ in range(ROOT_ITERS):
+        c = min(max(a + fa * (b - a) / (fa - fb), a), b)
+        fc = pressure_estimate(op, t, c)
+        if abs(fc) <= ROOT_RESIDUAL:
+            break
+        if fc > 0.0:
+            a, fa = c, fc
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
         else:
-            b = mid
-        if abs(val) < tol * 1e-3:
-            s_star, resid = mid, val
+            b, fb = c, fc
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        if b - a <= 4.0 * math.ulp(max(abs(a), abs(b))):
             break
-        if (b - a) < 1e-13:
-            break
-    if s_star is None:
-        s_star = 0.5 * (a + b)
-        resid = pressure_estimate(op, t, s_star)
-    if abs(resid) > tol:
+    else:
+        warnings.warn(f"pressure root not found in {ROOT_ITERS} steps",
+                      UnstablePressureWarning)
+    if abs(fc) > tol:
         warnings.warn(
-            f"pressure residual {resid:.2e} above tolerance {tol}",
+            f"pressure residual {fc:.2e} above tolerance {tol}",
             UnstablePressureWarning,
         )
-    return s_star
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +489,22 @@ def gibbs_state(op, t, pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
     """Pressure root, density, conformal/invariant branch masses on the
     scheme of the SpectralOperator `op`.
 
-    The density rho and lambda are the leading eigenpair of L_Psi on the
-    base grid at the pressure root, from SpectralOperator.eigen (which
-    raises TransferOperatorDivergedError at its iteration cap); lambda is
-    folded into the normalised potential, so the branch weights satisfy the
-    Gibbs property with zero pressure.
+    The matrix of L_Psi at the pressure root is assembled once.  lambda and
+    the density rho are its leading eigenpair and the conformal cell masses
+    nu its left eigenvector, both by power iteration (which raises
+    TransferOperatorDivergedError at its cap).  lambda is folded into the
+    normalised potential, so the branch weights satisfy the Gibbs property
+    with zero pressure.
     """
     scheme = op.scheme
     s_star = solve_pressure(op, t, bracket=bracket, tol=pressure_tol)
-    lam, g = op.eigen(t, s_star)
     W = op.weights(t, s_star)
+    M = op.matrix(W)
+    lam, g = _power(M, np.ones(len(op.xs)), EIGEN_TOL, EIGEN_ITERS)
     log_lam = math.log(lam)
     # Conformal measure as cell masses: left eigenvector of the same matrix.
-    _, nu = op.left_eigen(W)
+    _, nu = op.left_eigen(M)
+    del M  # the G x G matrix is not kept past the eigenvectors
     # Normalise rho so that int rho dm = 1 on the grid.
     g = g / float((nu * g).sum())
 
@@ -478,7 +518,7 @@ def gibbs_state(op, t, pressure_tol=1e-4, bracket=(-5.0, 5.0)) -> GibbsState:
     branch_mu_op = branch_mu_op / float(branch_mu_op.sum())
     branch_m_op = branch_m_op / m_norm
 
-    var = variation_profile(scheme, induced_potential(op, t, s_star),
+    var = variation_profile(op, induced_potential(op, t, s_star),
                             VARIATION_KMAX)
 
     gs = GibbsState(
@@ -707,8 +747,10 @@ def tau_mean_consistency(gs: GibbsState):
 
 
 def measure_to_csv(mu: EquilibriumMeasure, path):
+    """Write the bin masses as `bin_left,mass` rows, 12 significant digits
+    (fmt12's format)."""
+    n = mu.bins
     with open(path, "w") as fh:
         fh.write("bin_left,mass\n")
-        n = mu.bins
-        for i, v in enumerate(mu.masses):
-            fh.write(f"{fmt12(i / n)},{fmt12(v)}\n")
+        fh.writelines(f"{i / n:.12g},{v:.12g}\n"
+                      for i, v in enumerate(mu.masses.tolist()))

@@ -1,4 +1,4 @@
-"""Small shared numerics: formatting, bracketed bisection, interval histograms."""
+"""Small shared numerics: 12-digit formatting and interval histograms."""
 
 import numpy as np
 
@@ -10,37 +10,6 @@ def fmt12(x) -> str:
     if x is None:
         return ""
     return "%.12g" % float(x)
-
-
-def bisect_monotone(g, lo, hi, target, tol=1e-13, max_iter=200):
-    """Solve g(x) = target for monotone g on [lo, hi] by bisection.
-
-    The bracket is trusted: g(lo) and g(hi) must straddle the target
-    (within floating slack).  Never evaluates outside [lo, hi].
-    """
-    glo = g(lo) - target
-    ghi = g(hi) - target
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        # Allow tiny bracket slack from rounding at the endpoints.
-        if min(abs(glo), abs(ghi)) < 1e-9:
-            return lo if abs(glo) < abs(ghi) else hi
-        raise ValueError("bisect_monotone: target not bracketed")
-    a, b = lo, hi
-    fa = glo
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = g(m) - target
-        if fm == 0.0 or (b - a) < tol:
-            return m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 class IntervalHistogram:

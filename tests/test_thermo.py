@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from thermoform import thermo
 from thermoform.errors import (
     BranchNotContractingError,
     PressureUnbracketedError,
     TransferOperatorDivergedError,
+    UnstablePressureWarning,
 )
 from thermoform.inducing import Branch, InducingScheme
 from thermoform.maps import CriticalPoint, IntervalMap, make_map
@@ -33,10 +35,41 @@ from thermoform.thermo import (
     zk_sum,
     _projection_pieces,
 )
-from thermoform.util import IntervalHistogram, bisect_monotone
+from thermoform.util import IntervalHistogram
 from tests.conftest import cheb_acip_bin_masses, gibbs_for
 
 LOG2 = math.log(2.0)
+
+
+def bisect_monotone(g, lo, hi, target, tol=1e-13, max_iter=200):
+    """Solve g(x) = target for monotone g on [lo, hi] by bisection.
+
+    The bracket is trusted: g(lo) and g(hi) must straddle the target
+    (within floating slack).  Never evaluates outside [lo, hi].
+    """
+    glo = g(lo) - target
+    ghi = g(hi) - target
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if glo * ghi > 0:
+        # Allow tiny bracket slack from rounding at the endpoints.
+        if min(abs(glo), abs(ghi)) < 1e-9:
+            return lo if abs(glo) < abs(ghi) else hi
+        raise ValueError("bisect_monotone: target not bracketed")
+    a, b = lo, hi
+    fa = glo
+    for _ in range(max_iter):
+        m = 0.5 * (a + b)
+        fm = g(m) - target
+        if fm == 0.0 or (b - a) < tol:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
 
 
 def chebyshev_tests(n=8):
@@ -111,14 +144,14 @@ def test_psi_additive_along_words(cheb_scheme):
 
 def test_variation_tent2_zero(tent2_scheme, tent2_op):
     pot = induced_potential(tent2_op, 1.0, 0.0)
-    var = variation_profile(tent2_scheme, pot, 5)
+    var = variation_profile(tent2_op, pot, 5)
     assert np.allclose(var.V, 0.0, atol=1e-12)
     assert np.allclose(var.B, 1.0, atol=1e-12)
 
 
 def test_variation_cheb_decay_and_doubling(cheb_scheme, cheb_op):
     pot = induced_potential(cheb_op, 1.0, 0.0)
-    var = variation_profile(cheb_scheme, pot, 6)
+    var = variation_profile(cheb_op, pot, 6)
     assert np.all(var.V >= 0)
     assert var.tail_rate < 1.0
     assert np.all(np.diff(var.B) <= 1e-12) and np.all(var.B >= 1.0)
@@ -130,8 +163,51 @@ def test_variation_cheb_decay_and_doubling(cheb_scheme, cheb_op):
     assert 1.0 - float(resid[0]) / ss > 0.9
     # doubling the potential doubles every V_k exactly
     pot2 = induced_potential(cheb_op, 2.0, 0.0)
-    var2 = variation_profile(cheb_scheme, pot2, 6)
+    var2 = variation_profile(cheb_op, pot2, 6)
     assert np.allclose(var2.V, 2.0 * var.V, rtol=1e-12)
+
+
+def fresh_variation(scheme, pot, k_max):
+    """V_k of variation_profile with every sampled word pulled back afresh."""
+    taus = scheme.taus
+    base = scheme.base_lo + np.array([1 / 6, 1 / 2, 5 / 6]) * scheme.base_width
+    rank = np.argsort(-np.exp(pot.psi_fix), kind="stable")
+    Vs = []
+    for k in range(1, k_max + 1):
+        nb = max(2, int(round(thermo.VARIATION_WORDS ** (1.0 / k))))
+        alphabet = np.sort(rank[:nb])
+        V = 0.0
+        for word in itertools.product(alphabet.tolist(), repeat=k):
+            if sum(taus[i] for i in word) > scheme.n_max + 2 * k:
+                continue
+            tail = base
+            for i in reversed(word[1:]):
+                tail, _ = scheme.map.pull_back(scheme.branches[i].itinerary,
+                                               tail, logs=False)
+            _, sl = scheme.map.pull_back(scheme.branches[word[0]].itinerary, tail)
+            psi = -pot.t * sl
+            V = max(V, float(psi.max() - psi.min()))
+        Vs.append(V)
+    return np.array(Vs)
+
+
+def test_variation_memo_matches_fresh_pullback(cheb_scheme, monkeypatch):
+    # the first-branch sums are pulled back once per (depth, alphabet) and
+    # reweighted at every t, with the bits of a fresh pullback
+    op = SpectralOperator(cheb_scheme)
+    pots = [induced_potential(op, t, 0.1) for t in (1.0, 0.9)]
+    got = [variation_profile(op, pot, 2) for pot in pots]
+    for pot, var in zip(pots, got):
+        assert np.array_equal(var.V, fresh_variation(cheb_scheme, pot, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("variation_profile pulled points back again")
+
+    monkeypatch.setattr(IntervalMap, "pull_back", refuse)
+    again = variation_profile(op, pots[0], 2)
+    assert np.array_equal(again.V, got[0].V)
+    assert np.array_equal(again.B, got[0].B)
+    assert again.tail_rate == got[0].tail_rate
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +293,47 @@ def test_pressure_entropy_at_t0(tent2_op):
 
 def test_pressure_cheb_acip(cheb_op):
     assert solve_pressure(cheb_op, 1.0) == pytest.approx(0.0, abs=1e-3)
+
+
+def test_pressure_root_is_exact(cheb_op, cheb_gibbs, cheb_gibbs_t09):
+    # false position stops on the root of P_G itself, not at a bracket
+    # midpoint within the warning tolerance
+    for gs in (cheb_gibbs, cheb_gibbs_t09):
+        assert abs(pressure_estimate(cheb_op, gs.t, gs.pressure)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["tent2", "cheb"])
+def test_gibbs_state_operator_solves(name, request, gibbs_cache, monkeypatch):
+    # the root takes at most 20 eigen solves (two of them the bracket ends),
+    # and the Gibbs state assembles one matrix after it for lambda, rho and nu
+    op = request.getfixturevalue(f"{name}_op")
+    solves, assemblies = [], []
+    estimate, matrix = thermo.pressure_estimate, SpectralOperator.matrix
+
+    def counted_estimate(*args):
+        solves.append(args)
+        return estimate(*args)
+
+    def counted_matrix(self, W):
+        assemblies.append(len(solves))
+        return matrix(self, W)
+
+    monkeypatch.setattr(thermo, "pressure_estimate", counted_estimate)
+    monkeypatch.setattr(SpectralOperator, "matrix", counted_matrix)
+    gs = gibbs_state(op, 1.0)
+    assert 2 < len(solves) <= 20
+    assert assemblies == list(range(1, len(solves) + 1)) + [len(solves)]
+    assert gs.pressure == gibbs_for(gibbs_cache, op, 1.0).pressure
+
+
+def test_pressure_step_cap_warns(tent2_op, monkeypatch):
+    monkeypatch.setattr(thermo, "ROOT_ITERS", 2)
+    with pytest.warns(UnstablePressureWarning) as caught:
+        solve_pressure(tent2_op, 0.9)
+    # two secant steps from (-5, 5) leave the residual above tol as well
+    msgs = [str(w.message) for w in caught]
+    assert len(msgs) == 2 and msgs[0] == "pressure root not found in 2 steps"
+    assert msgs[1].startswith("pressure residual")
 
 
 def test_pressure_estimators_agree(tent2_op, cheb_op):
