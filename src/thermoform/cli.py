@@ -16,7 +16,8 @@ from .inducing import build_scheme, choose_base, scheme_to_csv
 from .maps import make_member
 from .stability import report_to_csv, run_sweep
 from .thermo import (
-    SpectralOperator, gibbs_state, measure_to_csv, project_measure, solve_pressure,
+    SpectralOperator, gibbs_state, measure_to_csv, project_measure,
+    projection_pieces, solve_pressure,
 )
 from .tower import build_tower, tower_to_dot, transitive_component
 from .util import fmt12
@@ -78,19 +79,29 @@ def cmd_pressure(cfg, out):
     return 0
 
 
+def _solve(op, t, cfg):
+    """Pressure, Gibbs constant and projection pieces at t; the Gibbs state
+    itself is dropped on return."""
+    gs = gibbs_state(op, t, **gibbs_kwargs(cfg))
+    return gs.pressure, gs.gibbs_constant, projection_pieces(gs)
+
+
 def cmd_equilibrium(cfg, out):
+    """Solve every t, then project all of them in one call, then write each
+    t's CSV and line in the configured order.  A stage error at any t
+    therefore leaves no CSV."""
     m, _, scheme = _scheme(cfg)
     op = SpectralOperator(scheme, cfg["grid"])
-    for t in cfg["t_values"]:
-        gs = gibbs_state(op, t, **gibbs_kwargs(cfg))
-        mu = project_measure(scheme, gs, bins=cfg["bins"],
-                             split_parts=cfg["split_parts"])
+    solved = [_solve(op, t, cfg) for t in cfg["t_values"]]
+    measures = project_measure(scheme, [s[2] for s in solved], bins=cfg["bins"],
+                               split_parts=cfg["split_parts"])
+    for t, (p, k, _), mu in zip(cfg["t_values"], solved, measures):
         tag = fmt12(t).replace(".", "p")
         path = os.path.join(out, f"equilibrium_t{tag}.csv")
         measure_to_csv(mu, path)
         lam = lyapunov(m, mu)
-        print(f"t={fmt12(t)} P={fmt12(gs.pressure)} tau_mean={fmt12(mu.tau_mean)} "
-              f"lyapunov={fmt12(lam)} K={fmt12(gs.gibbs_constant)} -> {path}")
+        print(f"t={fmt12(t)} P={fmt12(p)} tau_mean={fmt12(mu.tau_mean)} "
+              f"lyapunov={fmt12(lam)} K={fmt12(k)} -> {path}")
     return 0
 
 

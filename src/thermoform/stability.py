@@ -20,7 +20,9 @@ from .cylinders import partition
 from .errors import TailUnderresolvedError, IncomparableSchemesError, ThermoformError
 from .inducing import build_scheme, choose_base
 from .maps import c2_distance, make_member
-from .thermo import GibbsState, SpectralOperator, gibbs_state, project_measure
+from .thermo import (
+    GibbsState, SpectralOperator, gibbs_state, project_measure, projection_pieces,
+)
 from .tower import build_tower, transitive_component
 from .util import fmt12
 
@@ -191,11 +193,10 @@ def _pipeline_state(family, parameter, base_itin, cfg):
     return m, scheme
 
 
-def _equilibrium(op, t, gibbs, cfg):
-    gs = gibbs_state(op, t, **gibbs)
-    mu = project_measure(op.scheme, gs, bins=cfg["bins"],
-                         split_parts=cfg["split_parts"])
-    return gs, mu
+def _project(op, states, cfg):
+    """The projected measures of the Gibbs states `states`, in one call."""
+    return project_measure(op.scheme, [projection_pieces(gs) for gs in states],
+                           bins=cfg["bins"], split_parts=cfg["split_parts"])
 
 
 def _base_state(cfg, gibbs, t_values) -> BaseState:
@@ -207,10 +208,11 @@ def _base_state(cfg, gibbs, t_values) -> BaseState:
                       require_boundary=cfg["require_boundary"])
     scheme = build_scheme(m, tower, cyl, delta=cfg["delta"], n_max=cfg["n_max"])
     op = SpectralOperator(scheme, cfg["grid"])
-    states = {t: _equilibrium(op, t, gibbs, cfg) for t in t_values}
+    states = [gibbs_state(op, t, **gibbs) for t in t_values]
+    measures = _project(op, states, cfg)
     return BaseState(cyl.itinerary, scheme.branches,
-                     {t: gs.pressure for t, (gs, _) in states.items()},
-                     {t: mu.masses for t, (_, mu) in states.items()})
+                     {t: gs.pressure for t, gs in zip(t_values, states)},
+                     {t: mu.masses for t, mu in zip(t_values, measures)})
 
 
 def _run_rung(cfg, gibbs, base, off, rung_param):
@@ -234,7 +236,8 @@ def _run_rung(cfg, gibbs, base, off, rung_param):
     for t in t_values:
         row = RungResult(off, rung_param, t, c2=c2)
         try:
-            gs, mu = _equilibrium(rung_op, t, gibbs, cfg)
+            gs = gibbs_state(rung_op, t, **gibbs)
+            mu, = _project(rung_op, [gs], cfg)
             row.pressure = gs.pressure
             row.delta_p = abs(gs.pressure - base.pressure[t])
             row.ws_vector = weak_star_vector(mu.masses, base.masses[t])

@@ -7,15 +7,22 @@ builds for each scheme and passes to pressure_estimate, solve_pressure and
 gibbs_state: the branch pullbacks of the base grid with their orbit sums,
 from which the operator matrix is assembled for each (t, s), a memo of
 word data (the anchors of periodic_anchors and their orbit sums) for the
-branch potential and the Z_k partition sums, and a memo of the
-first-branch sums variation_profile samples.  Words of depth k are (n, k)
-int arrays of branch indices.  Nothing is kept at module level, so a result
-depends on (scheme, grid, t) and not on which calls came before it.
+branch potential and the Z_k partition sums, a memo of the first-branch
+sums variation_profile samples, and memos of the projection's geometry.
+Words of depth k are (n, k) int arrays of branch indices.  Nothing is kept
+at module level, so a result depends on (scheme, grid, t) and not on which
+calls came before it.
 
 The pressure P(phi_t) is the root s* of s -> P_G(Phi - s tau), found by
 Illinois false position, one matrix assembly and eigen solve per step;
 gibbs_state then assembles the matrix once more, at s*, for the eigenvalue
 and both eigenvectors.
+
+The projection to the interval splits into per-t masses and t-free
+geometry: projection_pieces turns a Gibbs state into a small record of
+pieces (ends, inducing times and masses), and project_measure pushes a
+batch of such records forward, one pass of f over the pieces for all
+records of equal geometry.
 """
 
 from dataclasses import dataclass, field
@@ -281,11 +288,13 @@ class SpectralOperator:
     one pressure estimate, gibbs_state once at the root for `eigen`'s pair
     and `left_eigen`'s vector.  The caller builds one operator per scheme
     and passes it to pressure_estimate, solve_pressure and gibbs_state; it
-    also holds two memos of t-independent sums, freed with the caller's
+    also holds memos of t-independent data, freed with the caller's
     reference: word data (`word_data`, whose depth-1 words are the branch
-    anchors) with each word's anchor and its orbit sums, and the
-    first-branch sums of variation_profile's sampled words
-    (`first_branch_sums`).  No (t, s) state is kept between calls.
+    anchors) with each word's anchor and its orbit sums, the first-branch
+    sums of variation_profile's sampled words (`first_branch_sums`), the
+    pullbacks of branch_children's kept continuations, and one copy of each
+    distinct piece geometry of projection_pieces.  No (t, s) state is kept
+    between calls.
 
     L is held dense.  Its interpolation stencil has two entries per branch
     and cell, so with more than G / 2 branches (276 on Chebyshev at n_max 24,
@@ -310,6 +319,8 @@ class SpectralOperator:
         self.frac = np.clip(pos - self.idx, 0.0, 1.0)
         self._words = {}
         self._first_sums = {}
+        self._children = {}     # branch_children: sel -> (lo, hi)
+        self._pieces = {}       # projection_pieces: (sel, gaps) -> geometry
 
     def word_data(self, k, budget):
         """(words, x_fix, sumlog, total_tau) of the k-words with total time
@@ -568,7 +579,10 @@ def branch_children(gs: GibbsState, cap=200, coverage=0.995):
     arrays lo, hi holds the pullbacks of the continuations X_j through
     branch i, and row i of masses slices branch i's invariant mass, the
     operator-quadrature cell masses mu_i(dy) = nu(dy) W_i(y) rho(y_i), along
-    the continuations.  Mass not captured is the caller's remainder.
+    the continuations.  Mass not captured is the caller's remainder.  The
+    geometry depends on `sel` alone, so it is pulled back once per `sel` and
+    kept on the scheme's SpectralOperator (gs._op); the same `sel` returns
+    the same lo, hi arrays.
     """
     scheme = gs.scheme
     sel = _strongest(gs.branch_mu, cap, coverage)
@@ -580,12 +594,16 @@ def branch_children(gs: GibbsState, cap=200, coverage=0.995):
     c *= np.divide(gs.branch_mu, csum, out=np.ones_like(csum),
                    where=csum > 0)[:, None]
     masses = _masses_between(gs, c, los, his)
-    # geometry: the refinement piece is the pullback of X_j through branch i
-    B, nc = len(scheme.branches), len(sel)
-    pts, _ = _pull_words(scheme, np.arange(B)[:, None],
-                         np.tile(np.concatenate([los, his]), (B, 1)), logs=False)
-    lo = np.minimum(pts[:, :nc], pts[:, nc:])
-    hi = np.maximum(pts[:, :nc], pts[:, nc:])
+    key = sel.tobytes()
+    if key not in gs._op._children:
+        # geometry: the refinement piece is the pullback of X_j through branch i
+        B, nc = len(scheme.branches), len(sel)
+        pts, _ = _pull_words(scheme, np.arange(B)[:, None],
+                             np.tile(np.concatenate([los, his]), (B, 1)),
+                             logs=False)
+        gs._op._children[key] = (np.minimum(pts[:, :nc], pts[:, nc:]),
+                                 np.maximum(pts[:, :nc], pts[:, nc:]))
+    lo, hi = gs._op._children[key]
     return sel, lo, hi, masses
 
 
@@ -610,16 +628,45 @@ class EquilibriumMeasure:
         return (np.arange(n) + 0.5) / n
 
 
-def _projection_pieces(gs: GibbsState):
-    """Flat (lo, hi, mass, tau) of the pieces project_measure pushes, longest
-    tau first: the depth-2 refinement of every branch (branch_children), and
-    the gaps wider than 1e-12 between a branch's kept children, which share
-    the branch mass the children miss (deep continuations cluster there) in
-    proportion to their lengths."""
+@dataclass(frozen=True)
+class ProjectionPieces:
+    """The pieces project_measure pushes for one Gibbs state, longest tau
+    first: ends lo, hi and inducing times tau (the geometry) and masses.
+    Records of equal geometry share its arrays."""
+
+    t: float
+    tau_mean: float         # Kac denominator: sum of branch mass times tau
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    tau: np.ndarray = field(repr=False)
+
+    def same_geometry(self, other):
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("lo", "hi", "tau"))
+
+
+def projection_pieces(gs: GibbsState) -> ProjectionPieces:
+    """The record of the pieces project_measure pushes at gs.t: the depth-2
+    refinement of every branch (branch_children), and the gaps wider than
+    1e-12 between a branch's kept children, which share the branch mass the
+    children miss (deep continuations cluster there) in proportion to their
+    lengths.  The record holds no reference to gs, so a caller can drop each
+    Gibbs state once its record is made.
+
+    The geometry is a function of the kept continuations and of which
+    branches have mass left over for gaps; it is stored once per such pair
+    on the scheme's SpectralOperator, so records of equal geometry share
+    their lo, hi and tau arrays.
+    """
     scheme = gs.scheme
+    tau_mean = float((gs.branch_mu * gs.taus).sum())
+    if tau_mean > 1e3:
+        warnings.warn("tau-mean exceeds 1e3; tail truncation dominates",
+                      ProjectionUnstableWarning)
     # at most ~40k children over all branches
     cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
-    _, clo, chi, cmass = branch_children(gs, cap=cap)
+    sel, clo, chi, cmass = branch_children(gs, cap=cap)
     ends = np.array([(b.lo, b.hi) for b in scheme.branches])
     # gap j runs from the furthest right end of the children left of child j
     # (by left end) to child j's left end; the last one to the branch end
@@ -633,49 +680,76 @@ def _projection_pieces(gs: GibbsState):
     gm = leftover[row] * gw / np.bincount(row, gw)[row]
     tau = np.concatenate([np.repeat(gs.taus, clo.shape[1]), gs.taus[row]])
     first = np.argsort(-tau, kind="stable")
-    return (np.concatenate([clo.ravel(), glo[gap]])[first],
-            np.concatenate([chi.ravel(), ghi[gap]])[first],
-            np.concatenate([cmass.ravel(), gm])[first], tau[first])
+    lo, hi, tau = gs._op._pieces.setdefault(
+        (sel.tobytes(), gap.tobytes()),
+        (np.concatenate([clo.ravel(), glo[gap]])[first],
+         np.concatenate([chi.ravel(), ghi[gap]])[first], tau[first]))
+    return ProjectionPieces(gs.t, tau_mean, lo, hi,
+                            np.concatenate([cmass.ravel(), gm])[first], tau)
 
 
-def project_measure(scheme, gs: GibbsState, bins=4096,
-                    split_parts=32) -> EquilibriumMeasure:
-    """Push the mass of every piece (_projection_pieces) through f^k for
-    0 <= k < tau into a histogram, normalised by the total pushed mass (the
-    Kac denominator tau-mean).  Each piece is cut into `split_parts` equal
-    parts whose endpoints are iterated together, so the image mass carries
-    the Jacobian of f^k.  Every point is binned at every step, so no
-    monotonicity of f^k is assumed: a piece whose points share one bin adds
-    its mass there, every other piece adds its parts.  One histogram call
-    per step takes the pieces of PROJECTION_CHUNK points at a time.
+def project_measure(scheme, pieces, bins=4096, split_parts=32):
+    """Push the mass of every piece of every record in `pieces`
+    (projection_pieces, one per t) through f^k for 0 <= k < tau into a
+    histogram, normalised by the total pushed mass (the Kac denominator
+    tau-mean); returns one EquilibriumMeasure per record, in order.
+
+    Each piece is cut into `split_parts` equal parts whose endpoints are
+    iterated together, so the image mass carries the Jacobian of f^k.
+    Every point is binned at every step, so no monotonicity of f^k is
+    assumed: a piece whose points share one bin adds its mass there, every
+    other piece adds its parts.  Records of equal geometry share one pass:
+    the points are pushed through f, tested for one bin and cut into parts
+    once, and each record's histogram takes one call per step with its own
+    masses, PROJECTION_CHUNK points at a time.  So each measure is what a
+    batch of one gives, whatever else is in the batch.
     """
-    m = scheme.map
-    hist = IntervalHistogram(bins)
-    tau_mean = float((gs.branch_mu * gs.taus).sum())
-    if tau_mean > 1e3:
-        warnings.warn("tau-mean exceeds 1e3; tail truncation dominates",
-                      ProjectionUnstableWarning)
+    groups = []     # (indices into pieces) per distinct geometry
+    for i, p in enumerate(pieces):
+        for g in groups:
+            if pieces[g[0]].same_geometry(p):
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    out = [None] * len(pieces)
+    for g in groups:
+        values = _push_pieces(scheme.map, [pieces[i] for i in g], bins,
+                              split_parts)
+        for i, v in zip(g, values):
+            total = float(v.sum())
+            if total <= 0:
+                raise ValueError("projection produced no mass")
+            out[i] = EquilibriumMeasure(scheme.map, pieces[i].t, v / total,
+                                        pieces[i].tau_mean)
+    return out
+
+
+def _push_pieces(m, group, bins, split_parts):
+    """Histogram values of each record of `group` (all of one geometry)
+    pushed forward by the map m."""
+    hists = [IntervalHistogram(bins) for _ in group]
+    lo, hi, tau = group[0].lo, group[0].hi, group[0].tau
     fracs = np.linspace(0.0, 1.0, split_parts + 1)
-    lo, hi, mass, tau = _projection_pieces(gs)
     n = max(1, PROJECTION_CHUNK // (split_parts + 1))
     for c in range(0, len(tau), n):
         pts = lo[c:c + n, None] + fracs * (hi - lo)[c:c + n, None]
-        ms, ts = mass[c:c + n], tau[c:c + n]
+        ms, ts = [p.mass[c:c + n] for p in group], tau[c:c + n]
         for k in range(ts[0]):
-            cell = np.minimum((np.clip(pts, 0.0, 1.0) * bins).astype(int), bins - 1)
-            one = cell.min(axis=1) == cell.max(axis=1)
+            # the cell map is non-decreasing, so a row lies in one cell when
+            # its extremes do
+            ends = np.minimum((np.clip([pts.min(axis=1), pts.max(axis=1)],
+                                       0.0, 1.0) * bins).astype(int), bins - 1)
+            one = ends[0] == ends[1]
             x0, parts = pts[one, 0], pts[~one]
-            hist.add_many(np.concatenate([x0, parts[:, :-1].ravel()]),
-                          np.concatenate([x0, parts[:, 1:].ravel()]),
-                          np.concatenate([ms[one], np.repeat(ms[~one] / split_parts,
-                                                             split_parts)]))
+            a = np.concatenate([x0, parts[:, :-1].ravel()])
+            b = np.concatenate([x0, parts[:, 1:].ravel()])
+            for h, w in zip(hists, ms):
+                h.add_many(a, b, np.concatenate(
+                    [w[one], np.repeat(w[~one] / split_parts, split_parts)]))
             live = np.count_nonzero(ts > k + 1)
-            pts, ms = np.asarray(m.f(pts[:live])), ms[:live]
-    values = hist.values()
-    total = float(values.sum())
-    if total <= 0:
-        raise ValueError("projection produced no mass")
-    return EquilibriumMeasure(m, gs.t, values / total, tau_mean)
+            pts, ms = np.asarray(m.f(pts[:live])), [w[:live] for w in ms]
+    return [h.values() for h in hists]
 
 
 def invariance_residual(m: IntervalMap, mu: EquilibriumMeasure, tests):

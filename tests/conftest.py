@@ -10,7 +10,9 @@ import pytest
 from thermoform.cylinders import partition
 from thermoform.inducing import build_scheme
 from thermoform.maps import make_map
-from thermoform.thermo import SpectralOperator, gibbs_state, project_measure
+from thermoform.thermo import (
+    SpectralOperator, gibbs_state, project_measure, projection_pieces,
+)
 from thermoform.tower import build_tower, transitive_component
 
 
@@ -126,19 +128,25 @@ def tent19_gibbs(tent19_op, gibbs_cache):
     return gibbs_for(gibbs_cache, tent19_op, 1.0)
 
 
+def project_one(scheme, gs, **kw):
+    """The projected measure of one Gibbs state: a batch of one."""
+    mu, = project_measure(scheme, [projection_pieces(gs)], **kw)
+    return mu
+
+
 @pytest.fixture(scope="session")
 def tent2_equilibrium(tent2_scheme, tent2_gibbs):
-    return project_measure(tent2_scheme, tent2_gibbs, bins=4096)
+    return project_one(tent2_scheme, tent2_gibbs, bins=4096)
 
 
 @pytest.fixture(scope="session")
 def cheb_equilibrium(cheb_scheme, cheb_gibbs):
-    return project_measure(cheb_scheme, cheb_gibbs, bins=4096)
+    return project_one(cheb_scheme, cheb_gibbs, bins=4096)
 
 
 @pytest.fixture(scope="session")
 def cheb_equilibrium_t09(cheb_scheme, cheb_gibbs_t09):
-    return project_measure(cheb_scheme, cheb_gibbs_t09, bins=4096)
+    return project_one(cheb_scheme, cheb_gibbs_t09, bins=4096)
 
 
 SWEEP_CONFIG = {

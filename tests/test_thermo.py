@@ -29,14 +29,14 @@ from thermoform.thermo import (
     periodic_anchors,
     pressure_estimate,
     project_measure,
+    projection_pieces,
     solve_pressure,
     tau_mean_consistency,
     variation_profile,
     zk_sum,
-    _projection_pieces,
 )
 from thermoform.util import IntervalHistogram
-from tests.conftest import cheb_acip_bin_masses, gibbs_for
+from tests.conftest import cheb_acip_bin_masses, gibbs_for, project_one
 
 LOG2 = math.log(2.0)
 
@@ -267,14 +267,15 @@ def test_zk_growth_rate_to_zero(tent2_op):
 
 
 def test_enumerate_words_lexicographic(cheb_scheme):
-    # the array enumeration against filtered tuples in lexicographic order
+    # the array enumeration against every k-word, in lexicographic order,
+    # filtered by the budget
     taus = cheb_scheme.taus
     for k, budget in ((2, 12), (3, 15)):
-        want = [w for w in itertools.product(range(len(taus)), repeat=k)
-                if sum(taus[i] for i in w) <= budget]
+        want = np.indices((len(taus),) * k).reshape(k, -1).T
+        want = want[taus[want].sum(1) <= budget]
         words = enumerate_words(cheb_scheme, k, budget)
         assert len(want) and words.shape == (len(want), k)
-        assert [tuple(w) for w in words.tolist()] == want
+        assert np.array_equal(words, want)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,7 @@ def test_eigen_diverged_error(cheb_op):
 # ---------------------------------------------------------------------------
 
 def test_projection_tent2_uniform(tent2_scheme, tent2_gibbs):
-    mu = project_measure(tent2_scheme, tent2_gibbs, bins=256)
+    mu = project_one(tent2_scheme, tent2_gibbs, bins=256)
     assert mu.masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert mu.tau_mean == pytest.approx(2.0, abs=1e-6)
     dev = np.abs(mu.masses * 256 - 1.0)
@@ -540,11 +541,11 @@ def test_projection_ignores_rounding_of_tied_masses(tent19_scheme, tent19_gibbs)
     # the projection's child cap cuts; noise at that level must not decide
     # which of them are refined
     gs = tent19_gibbs
-    mu = project_measure(tent19_scheme, gs, split_parts=8)
+    mu = project_one(tent19_scheme, gs, split_parts=8)
     rng = np.random.default_rng(0)
     noise = 1.0 + 4e-16 * rng.choice([-1.0, 1.0], len(gs.branch_mu))
     noisy = dataclasses.replace(gs, branch_mu=gs.branch_mu * noise)
-    l1 = float(np.abs(project_measure(tent19_scheme, noisy, split_parts=8).masses
+    l1 = float(np.abs(project_one(tent19_scheme, noisy, split_parts=8).masses
                       - mu.masses).sum())
     assert l1 <= 1e-12
 
@@ -590,7 +591,7 @@ def project_by_branch(scheme, gs, bins=4096, split_parts=32):
 def test_projection_matches_branch_loop(name, request):
     scheme = request.getfixturevalue(f"{name}_scheme")
     gs = request.getfixturevalue(f"{name}_gibbs")
-    mu = project_measure(scheme, gs)
+    mu = project_one(scheme, gs)
     want, tau_mean = project_by_branch(scheme, gs)
     big = want > 1e-12 * want.max()
     assert np.all(np.abs(mu.masses - want)[big] <= 1e-12 * want[big])
@@ -598,8 +599,9 @@ def test_projection_matches_branch_loop(name, request):
     assert mu.masses.sum() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_projection_batches_histogram_calls(cheb_scheme, cheb_gibbs, monkeypatch):
-    # one add_many call per chunk of pieces and step, not per branch and step
+def test_projection_batches_histogram_calls(cheb_scheme, cheb_gibbs,
+                                            cheb_gibbs_t09, monkeypatch):
+    # one add_many call per t, chunk of pieces and step, not per branch and step
     calls = []
     add_many = IntervalHistogram.add_many
 
@@ -608,10 +610,60 @@ def test_projection_batches_histogram_calls(cheb_scheme, cheb_gibbs, monkeypatch
         return add_many(self, lo, hi, mass)
 
     monkeypatch.setattr(IntervalHistogram, "add_many", counted)
-    project_measure(cheb_scheme, cheb_gibbs)
-    _, _, _, tau = _projection_pieces(cheb_gibbs)
-    chunks = -(-len(tau) // (PROJECTION_CHUNK // (32 + 1)))  # split_parts 32
-    assert 0 < len(calls) <= 2 * chunks * int(tau.max())
+    pieces = [projection_pieces(cheb_gibbs), projection_pieces(cheb_gibbs_t09)]
+    project_measure(cheb_scheme, pieces)
+    bound = 0
+    for p in pieces:
+        chunks = -(-len(p.tau) // (PROJECTION_CHUNK // (32 + 1)))  # split_parts 32
+        bound += 2 * chunks * int(p.tau.max())
+    assert 0 < len(calls) <= bound
+
+
+def test_projection_batch_matches_batches_of_one(cheb_scheme, cheb_gibbs,
+                                                 cheb_gibbs_t09, cheb_equilibrium,
+                                                 cheb_equilibrium_t09):
+    pieces = [projection_pieces(cheb_gibbs), projection_pieces(cheb_gibbs_t09)]
+    assert pieces[0].lo is pieces[1].lo  # one geometry, stored once
+    for mu, want in zip(project_measure(cheb_scheme, pieces, bins=4096),
+                        (cheb_equilibrium, cheb_equilibrium_t09)):
+        assert mu.t == want.t
+        assert np.array_equal(mu.masses, want.masses)
+        assert mu.tau_mean == want.tau_mean
+
+
+def test_projection_mixed_geometry_batch(cheb_scheme, cheb_gibbs, cheb_gibbs_t09):
+    # a state keeping other continuations has other pieces; each record's
+    # measure does not depend on what else is in the call
+    gs = cheb_gibbs
+    other = dataclasses.replace(gs, branch_mu=np.roll(gs.branch_mu, 1))
+    pieces = [projection_pieces(s) for s in (gs, other, cheb_gibbs_t09)]
+    assert not pieces[0].same_geometry(pieces[1])
+    batch = project_measure(cheb_scheme, pieces)
+    for p, mu in zip(pieces, batch):
+        want, = project_measure(cheb_scheme, [p])
+        assert mu.t == want.t and mu.tau_mean == want.tau_mean
+        assert np.array_equal(mu.masses, want.masses)
+
+
+def test_projection_batch_pushes_points_once(cheb_scheme, cheb_op, cheb_gibbs,
+                                             cheb_gibbs_t09, gibbs_cache):
+    # three t values of one geometry cost the forward iterations of one
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return cheb_scheme.map.f(x)
+
+    scheme = dataclasses.replace(
+        cheb_scheme, map=dataclasses.replace(cheb_scheme.map, f=f))
+    states = (cheb_gibbs, cheb_gibbs_t09, gibbs_for(gibbs_cache, cheb_op, 1.1))
+    pieces = [projection_pieces(gs) for gs in states]
+    assert all(p.same_geometry(pieces[0]) for p in pieces)
+    project_measure(scheme, pieces[:1])
+    one = list(calls)
+    calls.clear()
+    project_measure(scheme, pieces)
+    assert one and calls == one
 
 
 def test_invariance_examples(tent2, tent2_equilibrium, cheb, cheb_equilibrium):
