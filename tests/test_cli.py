@@ -1,6 +1,7 @@
 """CLI exit codes (0 success, 1 stage error, 2 config error) and the layer
 names the benchmark tracer patches."""
 
+import hashlib
 import importlib.util
 import os
 from pathlib import Path
@@ -30,6 +31,19 @@ CHEB16_GOLDEN = [
     "t=1 P=-6.51114325811e-05 tau_mean=3.99657709856 lyapunov=0.693846692673 "
     "K=1.41146077583",
 ]
+# `induce`'s scheme.csv on CHEB16 (120 branches), and the data row of
+# `stability` on TENT19: pinned byte for byte, mismatch_mass and coverage
+# included, so a refactor of the branch store must reproduce both
+CHEB16_SCHEME_SHA256 = \
+    "a22de7fb77343a8b07d69da41c5dcef29e88d9b677c9a6958d1b4a12637103a9"
+TENT19_ROW = (
+    "tent,1.9,0.005,1.895,1,0.0074974974975,-0.00359598263617,"
+    "0.000451350796602,0.00497753057816,0.0340062399871,1.85820994157,"
+    "0.473348133218,exponential,0.998717488122,0.101560786333,1,"
+    "0.986218518235,53,,2.45029690982e-17,0.00118621978109,0.00421065741017,"
+    "0.00168944631637,0.00249482184845,0.00441168532837,0.00167880038682,"
+    "0.00497753057816"
+)
 
 
 def write_config(path, sections):
@@ -69,6 +83,18 @@ def test_equilibrium_stdout_golden(tmp_path, capsys):
     assert run_cli(tmp_path, "equilibrium", CHEB16) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" -> ")[0] for line in lines] == CHEB16_GOLDEN
+
+
+def test_induce_scheme_csv_golden(tmp_path):
+    assert run_cli(tmp_path, "induce", CHEB16) == 0
+    data = (tmp_path / "out" / "scheme.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CHEB16_SCHEME_SHA256
+
+
+def test_stability_row_golden(tmp_path):
+    assert run_cli(tmp_path, "stability", TENT19) == 0
+    rows = (tmp_path / "out" / "stability.csv").read_text().splitlines()
+    assert rows[1:] == [TENT19_ROW]
 
 
 def test_config_errors_exit_2(tmp_path):
