@@ -5,7 +5,8 @@ every transitive domain containing its fattened version.  Pieces of the
 lifted flow evolve as (interval, domain-interval) pairs by the tower's
 Markov splitting, so branch enumeration is exhaustive and deterministic up
 to the inducing-time cap; it never needs tower levels beyond the cap used
-to compute the transitive part.
+to compute the transitive part.  A scheme keeps its branches in one
+Branches record of arrays, which every consumer indexes.
 """
 
 from dataclasses import dataclass
@@ -24,27 +25,37 @@ PIECE_BUDGET = 500_000
 COVERAGE_FLOOR = 0.9
 
 
-@dataclass(frozen=True)
-class Branch:
-    lo: float
-    hi: float
-    tau: int
-    itinerary: tuple      # level-1 branch symbols along the branch orbit
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """A scheme's branches as read-only arrays, sorted by (lo, tau): ends lo
+    < hi, inducing times tau, and the (B, n_max) int8 matrix itin, whose row
+    i holds the level-1 symbols of branch i's orbit in its first tau[i]
+    columns and 0 after them.  No two branches share tau and itin row."""
 
-    @property
-    def width(self):
-        return self.hi - self.lo
+    lo: np.ndarray
+    hi: np.ndarray
+    tau: np.ndarray
+    itin: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.lo, self.hi, self.tau, self.itin):
+            a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.tau)
 
 
 @dataclass(frozen=True)
 class InducingScheme:
+    """A first-return scheme: its base, its Branches and their bookkeeping."""
+
     map: IntervalMap
     base_lo: float
     base_hi: float
     base_itinerary: tuple
     delta: float
     n_max: int
-    branches: tuple
+    branches: Branches
     coverage: float
     cset: tuple                # (domain id, interval lo, interval hi)
     lost_boundary: float       # base-length of partial-entry/thin pieces dropped
@@ -55,7 +66,7 @@ class InducingScheme:
 
     @property
     def taus(self):
-        return np.array([b.tau for b in self.branches], dtype=int)
+        return self.branches.tau
 
 
 def fatten(interval, delta):
@@ -113,8 +124,9 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta,
                 return True
         return False
 
-    branches = []
-    lost = 0.0
+    # per step: ends, full flags, taus and itineraries of its returns
+    found = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool),
+              np.zeros(0, dtype=int), np.zeros((0, n_max), dtype=np.int8))]
     # piece = (J_lo, J_hi, D_lo, D_hi, word); J is the current image of a
     # monotone sub-piece of the base, D the interval of its tower domain.
     pieces = [(a0, a1, start.lo, start.hi, ())]
@@ -145,29 +157,31 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta,
                     nxt.append((nlo, nhi, ilo, ihi, nword))
         if returns:
             full, words, ends = zip(*returns)
-            xs, _ = m.pull_back(np.array(words), np.array(ends), logs=False)
-            for is_full, nword, (xa, xb) in zip(full, words, xs.tolist()):
-                blo, bhi = min(xa, xb), max(xa, xb)
-                if is_full and bhi - blo > WIDTH_FLOOR:
-                    branches.append(Branch(blo, bhi, step, nword))
-                else:
-                    # a partial entry, or a full return too thin to resolve
-                    lost += bhi - blo
+            itin = np.zeros((len(words), n_max), dtype=np.int8)
+            itin[:, :step] = words
+            xs, _ = m.pull_back(itin[:, :step], np.array(ends), logs=False)
+            found.append((xs.min(axis=1), xs.max(axis=1), np.array(full),
+                          np.full(len(words), step), itin))
         if len(nxt) > PIECE_BUDGET:
             raise SchemeTooLargeError(
                 f"{len(nxt)} live pieces at time {step}; lower n_max or deepen the base"
             )
         pieces = nxt
-    branches.sort(key=lambda b: (b.lo, b.tau))
-    width = a1 - a0
-    coverage = sum(b.width for b in branches) / width if width > 0 else 0.0
+    lo, hi, full, tau, itin = (np.concatenate(c) for c in zip(*found))
+    # partial entries and unresolved full returns are lost; both sums add
+    # one term at a time, in return and in branch order
+    keep = full & (hi - lo > WIDTH_FLOOR)
+    lost = float(np.cumsum(np.append(0.0, (hi - lo)[~keep]))[-1])
+    order = np.lexsort((tau[keep], lo[keep]))
+    branches = Branches(*(x[keep][order] for x in (lo, hi, tau, itin)))
+    coverage = sum((branches.hi - branches.lo).tolist()) / (a1 - a0) if a1 > a0 else 0.0
     if coverage < COVERAGE_FLOOR:
         warnings.warn(
             f"scheme coverage {coverage:.4f} below floor {COVERAGE_FLOOR}",
             LowCoverageWarning,
         )
     return InducingScheme(
-        m, a0, a1, base_itin, delta, n_max, tuple(branches), coverage,
+        m, a0, a1, base_itin, delta, n_max, branches, coverage,
         tuple((i, tower.domain(i).lo, tower.domain(i).hi) for i, _ in cset),
         lost,
     )
@@ -225,6 +239,8 @@ def scheme_to_csv(scheme: InducingScheme, path):
 
     with open(path, "w") as fh:
         fh.write("index,left,right,tau,itinerary\n")
-        for i, b in enumerate(scheme.branches):
-            itin = "".join(str(s) for s in b.itinerary)
-            fh.write(f"{i},{fmt12(b.lo)},{fmt12(b.hi)},{b.tau},{itin}\n")
+        b = scheme.branches
+        rows = zip(b.lo.tolist(), b.hi.tolist(), b.tau.tolist(), b.itin.tolist())
+        for i, (lo, hi, tau, itin) in enumerate(rows):
+            word = "".join(map(str, itin[:tau]))
+            fh.write(f"{i},{fmt12(lo)},{fmt12(hi)},{tau},{word}\n")

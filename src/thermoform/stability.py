@@ -18,7 +18,7 @@ import numpy as np
 from .config import gibbs_kwargs, resolve
 from .cylinders import partition
 from .errors import TailUnderresolvedError, IncomparableSchemesError, ThermoformError
-from .inducing import build_scheme, choose_base
+from .inducing import Branches, build_scheme, choose_base
 from .maps import c2_distance, make_member
 from .thermo import (
     GibbsState, SpectralOperator, gibbs_state, project_measure, projection_pieces,
@@ -65,7 +65,7 @@ def tail_profile(gs: GibbsState):
     Least squares of log tail against N (exponential) and against log N
     (polynomial); returns (C, rate, kind, r2) for the better model.
     """
-    taus = gs.taus
+    taus = gs.scheme.taus
     mu = gs.branch_mu
     pts = []
     for N in range(2, int(taus.max()), 2):
@@ -91,42 +91,37 @@ def cylinder_mass_mismatch(base, scheme_b, gs_b: GibbsState, tau_cap):
     """gs_b-mass of the symmetric differences of itinerary-matched branches
     plus the mass of unmatched branches, up to inducing time tau_cap.
 
-    `base` is the BaseState of the sweep: its itinerary and branches.
+    `base` is the BaseState of the sweep: its itinerary and Branches.
+    Branches match when their tau and itinerary rows agree.  The terms add
+    one at a time: b's branches, then each unmatched base branch's overlaps
+    with b's branches, all by index.
     """
     if base.itinerary != scheme_b.base_itinerary:
         raise IncomparableSchemesError(
             f"bases {base.itinerary} vs {scheme_b.base_itinerary}"
         )
-    bys_a = {b.itinerary: b for b in base.branches if b.tau <= tau_cap}
-    total = 0.0
-    matched_a = set()
-    dens_b = np.array([
-        float(gs_b.branch_mu[j]) / max(b.width, 1e-300)
-        for j, b in enumerate(scheme_b.branches)
-    ])
-    for j, bb in enumerate(scheme_b.branches):
-        if bb.tau > tau_cap:
-            continue
-        ba = bys_a.get(bb.itinerary)
-        if ba is None:
-            total += float(gs_b.branch_mu[j])
-            continue
-        matched_a.add(bb.itinerary)
-        if ba.hi <= bb.lo or bb.hi <= ba.lo:
-            sym = ba.width + bb.width
-        else:
-            sym = abs(ba.lo - bb.lo) + abs(ba.hi - bb.hi)
-        total += dens_b[j] * sym
-    for itin, ba in bys_a.items():
-        if itin in matched_a:
-            continue
-        # a-branch with no b-partner: weigh its interval with b's density
-        for j, bb in enumerate(scheme_b.branches):
-            lo = max(ba.lo, bb.lo)
-            hi = min(ba.hi, bb.hi)
-            if hi > lo:
-                total += dens_b[j] * (hi - lo)
-    return total
+    a, b = base.branches, scheme_b.branches
+    ia, ib = np.nonzero(a.tau <= tau_cap)[0], np.nonzero(b.tau <= tau_cap)[0]
+    # a row is 0 past column tau, and tau is in the key: w columns suffice
+    w = min(tau_cap, a.itin.shape[1], b.itin.shape[1])
+    keys = np.column_stack([np.concatenate([a.tau[ia], b.tau[ib]]),
+                            np.concatenate([a.itin[ia, :w], b.itin[ib, :w]])])
+    ids = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    partner = np.full(len(keys), -1)
+    partner[ids[:len(ia)]] = ia
+    pa = partner[ids[len(ia):]]     # the base partner of each b-branch kept
+    dens_b = gs_b.branch_mu / np.maximum(b.hi - b.lo, 1e-300)
+    terms = gs_b.branch_mu[ib]      # an unmatched b-branch adds its mass
+    m = pa >= 0
+    alo, ahi, blo, bhi = a.lo[pa[m]], a.hi[pa[m]], b.lo[ib[m]], b.hi[ib[m]]
+    terms[m] = dens_b[ib[m]] * np.where((ahi <= blo) | (bhi <= alo),
+                                        (ahi - alo) + (bhi - blo),
+                                        np.abs(alo - blo) + np.abs(ahi - bhi))
+    # a base branch with no b-partner: weigh its interval with b's density
+    alone = np.setdiff1d(ia, pa)
+    lo, hi = np.maximum(a.lo[alone, None], b.lo), np.minimum(a.hi[alone, None], b.hi)
+    overlap = (dens_b * (hi - lo))[hi > lo]
+    return float(np.cumsum(np.concatenate([[0.0], terms, overlap]))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +162,14 @@ class StabilityReport:
 class BaseState:
     """What every rung compares against, built once per sweep.
 
-    Plain data, so the process pool ships it to its workers by pickle; an
-    IntervalMap's closures do not pickle, so a rung rebuilds the base map
-    with make_member for its C^2 distance.
+    Plain data, so the process pool ships it to its workers by pickle: the
+    base scheme's Branches go as their four arrays.  An IntervalMap's
+    closures do not pickle, so a rung rebuilds the base map with
+    make_member for its C^2 distance.
     """
 
     itinerary: tuple        # of the base cylinder
-    branches: tuple         # of the base scheme
+    branches: Branches      # of the base scheme
     pressure: dict          # t -> P at the base map
     masses: dict            # t -> projected bin masses at the base map
 
@@ -218,43 +214,42 @@ def _base_state(cfg, gibbs, t_values) -> BaseState:
 def _run_rung(cfg, gibbs, base, off, rung_param):
     """The rows of one ladder rung, one per t, compared against `base`."""
     t_values = tuple(float(t) for t in cfg["t_values"])
+    c2 = math.nan
     try:
         rung_map, rung_scheme = _pipeline_state(cfg["family"], rung_param,
                                                 base.itinerary, cfg)
         base_map = make_member(cfg["family"], float(cfg["parameter"]))
         c2 = c2_distance(rung_map, base_map, C2_GRID)
-    except ThermoformError as e:
-        return [RungResult(off, rung_param, t, error=f"{type(e).__name__}: {e}")
-                for t in t_values]
-    try:
         rung_op = SpectralOperator(rung_scheme, cfg["grid"])
     except ThermoformError as e:
         return [RungResult(off, rung_param, t, c2=c2,
                            error=f"{type(e).__name__}: {e}")
                 for t in t_values]
-    rows = []
-    for t in t_values:
-        row = RungResult(off, rung_param, t, c2=c2)
-        try:
-            gs = gibbs_state(rung_op, t, **gibbs)
-            mu, = _project(rung_op, [gs], cfg)
-            row.pressure = gs.pressure
-            row.delta_p = abs(gs.pressure - base.pressure[t])
-            row.ws_vector = weak_star_vector(mu.masses, base.masses[t])
-            row.weak_star = max(row.ws_vector)
-            if t == 1.0:
-                row.l1 = float(np.abs(mu.masses - base.masses[t]).sum())
-            row.tail_c, row.tail_rate, row.tail_kind, row.tail_r2 = \
-                tail_profile(gs)
-            row.mismatch = cylinder_mass_mismatch(base, rung_scheme, gs,
-                                                  cfg["tau_cap"])
-            row.gibbs_k = gs.gibbs_constant
-            row.coverage = rung_scheme.coverage
-            row.branches = len(rung_scheme.branches)
-        except ThermoformError as e:
-            row.error = f"{type(e).__name__}: {e}"
-        rows.append(row)
-    return rows
+    return [_rung_row(RungResult(off, rung_param, t, c2=c2), rung_op, base,
+                      cfg, gibbs) for t in t_values]
+
+
+def _rung_row(row, op, base, cfg, gibbs):
+    """`row` filled with the rung of operator `op` against `base` at row.t.
+    The Gibbs state is dropped on return, before the next t is solved."""
+    t, scheme = row.t, op.scheme
+    try:
+        gs = gibbs_state(op, t, **gibbs)
+        mu, = _project(op, [gs], cfg)
+        row.pressure = gs.pressure
+        row.delta_p = abs(gs.pressure - base.pressure[t])
+        row.ws_vector = weak_star_vector(mu.masses, base.masses[t])
+        row.weak_star = max(row.ws_vector)
+        if t == 1.0:
+            row.l1 = float(np.abs(mu.masses - base.masses[t]).sum())
+        row.tail_c, row.tail_rate, row.tail_kind, row.tail_r2 = tail_profile(gs)
+        row.mismatch = cylinder_mass_mismatch(base, scheme, gs, cfg["tau_cap"])
+        row.gibbs_k = gs.gibbs_constant
+        row.coverage = scheme.coverage
+        row.branches = len(scheme.branches)
+    except ThermoformError as e:
+        row.error = f"{type(e).__name__}: {e}"
+    return row
 
 
 def run_sweep(config, base=None) -> StabilityReport:

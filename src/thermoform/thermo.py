@@ -97,22 +97,19 @@ def enumerate_words(scheme: InducingScheme, k, budget=None):
 
 
 def _group_words(scheme, words):
-    """Group words by total symbol length L; yields (rows, symbols) with
-    symbols the (len(rows), L) concatenated branch itineraries."""
-    taus = scheme.taus
+    """Group words by total symbol length L; yields (rows, symbols), symbols
+    the (len(rows), L) live columns of the words' rows of branches.itin."""
+    br = scheme.branches
     words = np.asarray(words, dtype=int)
     if words.size == 0:
         return
-    itin = np.zeros((len(taus), int(taus.max())), dtype=np.int16)
-    for i, b in enumerate(scheme.branches):
-        itin[i, :b.tau] = b.itinerary
-    lens = taus[words]
+    lens = br.tau[words]
     totals = lens.sum(1)
-    live = np.arange(itin.shape[1])
+    live = np.arange(br.itin.shape[1])
     for L in np.unique(totals):
         rows = np.nonzero(totals == L)[0]
         valid = live < lens[rows][..., None]
-        yield rows, itin[words[rows]][valid].reshape(len(rows), L)
+        yield rows, br.itin[words[rows]][valid].reshape(len(rows), L)
 
 
 def _pull_words(scheme, words, points, logs=True):
@@ -190,7 +187,6 @@ class InducedPotential:
     scheme: InducingScheme
     t: float
     s: float
-    tau: np.ndarray = field(repr=False)
     x_fix: np.ndarray = field(repr=False)
     sumlog_fix: np.ndarray = field(repr=False)
 
@@ -200,15 +196,14 @@ class InducedPotential:
 
     @property
     def psi_fix(self):
-        return self.phi_fix - self.s * self.tau
+        return self.phi_fix - self.s * self.scheme.taus
 
 
 def induced_potential(op, t, s) -> InducedPotential:
     """Branch potential data at the branch fixed points, from the orbit data
     held by the scheme's SpectralOperator `op`."""
-    scheme = op.scheme
     _, xf, slf, _ = op.word_data(1, None)
-    return InducedPotential(scheme, float(t), float(s), scheme.taus, xf, slf)
+    return InducedPotential(op.scheme, float(t), float(s), xf, slf)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +278,18 @@ class SpectralOperator:
     y_i the branch-i preimage of x, discretised on base cell centers with
     linear interpolation of g.
 
-    Branch pullbacks and orbit sums are (t, s)-independent; they are computed
-    once, and `matrix` assembles L for each (t, s) from them: `eigen` for
-    one pressure estimate, gibbs_state once at the root for `eigen`'s pair
-    and `left_eigen`'s vector.  The caller builds one operator per scheme
-    and passes it to pressure_estimate, solve_pressure and gibbs_state; it
-    also holds memos of t-independent data, freed with the caller's
-    reference: word data (`word_data`, whose depth-1 words are the branch
-    anchors) with each word's anchor and its orbit sums, the first-branch
-    sums of variation_profile's sampled words (`first_branch_sums`), the
-    pullbacks of branch_children's kept continuations, and one copy of each
-    distinct piece geometry of projection_pieces.  No (t, s) state is kept
-    between calls.
+    Branch pullbacks through the rows of the scheme's branches.itin, and their
+    orbit sums, are (t, s)-independent; they are computed once, and `matrix`
+    assembles L for each (t, s) from them: `eigen` for one pressure estimate,
+    gibbs_state once at the root for `eigen`'s pair and `left_eigen`'s vector.
+    The caller builds one operator per scheme and passes it to
+    pressure_estimate, solve_pressure and gibbs_state; it also holds memos of
+    t-independent data, freed with the caller's reference: word data
+    (`word_data`, whose depth-1 words are the branch anchors) with each word's
+    anchor and its orbit sums, the first-branch sums of variation_profile's
+    sampled words (`first_branch_sums`), the pullbacks of branch_children's
+    kept continuations, and one copy of each distinct piece geometry of
+    projection_pieces.  No (t, s) state is kept between calls.
 
     L is held dense.  Its interpolation stencil has two entries per branch
     and cell, so with more than G / 2 branches (276 on Chebyshev at n_max 24,
@@ -311,7 +306,6 @@ class SpectralOperator:
         B = len(scheme.branches)
         Y, self.sumlog = _pull_words(scheme, np.arange(B)[:, None],
                                      np.tile(self.xs, (B, 1)))
-        self.tau = scheme.taus.astype(float)
         # per preimage: the index of the cell centre at or left of it
         # (clamped to the grid) and its fraction of the way to the next one
         pos = (Y - self.xs[0]) / self.h
@@ -350,7 +344,7 @@ class SpectralOperator:
         return self._first_sums[key]
 
     def weights(self, t, s):
-        return np.exp(-t * self.sumlog - s * self.tau[:, None])
+        return np.exp(-t * self.sumlog - s * self.scheme.branches.tau[:, None])
 
     def matrix(self, W):
         """L under the branch weights W as a dense (G, G) array: row l holds
@@ -479,10 +473,6 @@ class GibbsState:
     _m_norm: float = 1.0   # raw total of the operator branch m-masses
 
     @property
-    def taus(self):
-        return self.scheme.taus
-
-    @property
     def mu_weights(self):
         """The invariant branch masses, under the name the benchmark tracer
         (perfbench/spans.py) reads to count the masses gibbs_sandwich_report
@@ -586,8 +576,7 @@ def branch_children(gs: GibbsState, cap=200, coverage=0.995):
     """
     scheme = gs.scheme
     sel = _strongest(gs.branch_mu, cap, coverage)
-    los = np.array([scheme.branches[j].lo for j in sel])
-    his = np.array([scheme.branches[j].hi for j in sel])
+    los, his = scheme.branches.lo[sel], scheme.branches.hi[sel]
     # mu-mass profiles over base cells, each rescaled to its stored mass
     c = gs.nu_grid * gs._W * gs._GY
     csum = c.sum(axis=1)
@@ -659,26 +648,26 @@ def projection_pieces(gs: GibbsState) -> ProjectionPieces:
     on the scheme's SpectralOperator, so records of equal geometry share
     their lo, hi and tau arrays.
     """
-    scheme = gs.scheme
-    tau_mean = float((gs.branch_mu * gs.taus).sum())
+    br = gs.scheme.branches
+    tau_mean = float((gs.branch_mu * br.tau).sum())
     if tau_mean > 1e3:
         warnings.warn("tau-mean exceeds 1e3; tail truncation dominates",
                       ProjectionUnstableWarning)
     # at most ~40k children over all branches
-    cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
+    cap = max(8, min(200, 40_000 // max(len(br), 1)))
     sel, clo, chi, cmass = branch_children(gs, cap=cap)
-    ends = np.array([(b.lo, b.hi) for b in scheme.branches])
     # gap j runs from the furthest right end of the children left of child j
     # (by left end) to child j's left end; the last one to the branch end
     order = np.argsort(clo, axis=1)
     glo = np.maximum.accumulate(np.concatenate(
-        [ends[:, :1], np.take_along_axis(chi, order, axis=1)], axis=1), axis=1)
-    ghi = np.concatenate([np.take_along_axis(clo, order, axis=1), ends[:, 1:]], axis=1)
+        [br.lo[:, None], np.take_along_axis(chi, order, axis=1)], axis=1), axis=1)
+    ghi = np.concatenate([np.take_along_axis(clo, order, axis=1), br.hi[:, None]],
+                         axis=1)
     leftover = np.maximum(gs.branch_mu - cmass.sum(axis=1), 0.0)
     gap = (ghi - glo > 1e-12) & (leftover > 0)[:, None]
     row, gw = np.nonzero(gap)[0], (ghi - glo)[gap]
     gm = leftover[row] * gw / np.bincount(row, gw)[row]
-    tau = np.concatenate([np.repeat(gs.taus, clo.shape[1]), gs.taus[row]])
+    tau = np.concatenate([np.repeat(br.tau, clo.shape[1]), br.tau[row]])
     first = np.argsort(-tau, kind="stable")
     lo, hi, tau = gs._op._pieces.setdefault(
         (sel.tobytes(), gap.tobytes()),
@@ -780,8 +769,7 @@ def conformality_report(gs: GibbsState):
     """
     scheme = gs.scheme
     conts = _strongest(gs.branch_m, CONFORMAL_CONTINUATIONS, 1.0)
-    los = np.array([scheme.branches[j].lo for j in conts])
-    his = np.array([scheme.branches[j].hi for j in conts])
+    los, his = scheme.branches.lo[conts], scheme.branches.hi[conts]
     lhs = float(gs.branch_m[conts].sum())
     # conformal masses of the pieces, in raw operator units
     piece_m = _masses_between(gs, gs.nu_grid * gs._W, los, his)
@@ -790,7 +778,7 @@ def conformality_report(gs: GibbsState):
     _, logd = _pull_words(scheme, np.arange(B)[:, None],
                           np.tile(quad.ravel(), (B, 1)))
     psi1 = gs.psi_eff(logd.reshape(B, len(conts), 3),
-                      gs.taus[:, None, None].astype(float), 1)
+                      scheme.taus[:, None, None].astype(float), 1)
     rhs = (np.exp(-psi1).mean(axis=2) * piece_m).sum(axis=1) / gs._m_norm
     return float((np.abs(lhs - rhs) / lhs).max())
 
@@ -813,7 +801,7 @@ def tau_mean_consistency(gs: GibbsState):
     """Relative gap between the tau-mean from depth-1 masses and the one
     recomputed through the depth-2 refinement (children + gap remainder
     measured separately, so the gap quantifies refinement truncation)."""
-    taus = gs.taus
+    taus = gs.scheme.taus
     d1 = float((gs.branch_mu * taus).sum())
     _, _, _, masses = branch_children(gs, cap=100_000, coverage=1.0)
     d2 = float((taus * masses.sum(axis=1)).sum())

@@ -4,6 +4,8 @@ The expensive pipeline objects are session-scoped and shared between the
 module tests and the acceptance suite.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def cylinder_by_itinerary(m, k, itinerary):
         if c.itinerary == tuple(itinerary):
             return c
     raise AssertionError(f"no cylinder {itinerary} at level {k}")
+
+
+class BranchRow(collections.namedtuple("BranchRow", "lo hi tau itinerary")):
+    """One branch of a Branches record, its itinerary a tuple of symbols."""
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+
+def branch_rows(branches):
+    """The BranchRow of every branch of the Branches record, in order."""
+    b = branches
+    return [BranchRow(lo, hi, tau, tuple(itin[:tau])) for lo, hi, tau, itin
+            in zip(b.lo.tolist(), b.hi.tolist(), b.tau.tolist(), b.itin.tolist())]
 
 
 @pytest.fixture(scope="session")

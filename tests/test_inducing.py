@@ -15,7 +15,7 @@ from thermoform.inducing import (
 )
 from thermoform.maps import IntervalMap, make_map
 from thermoform.tower import build_tower, transitive_component, tower_step
-from tests.conftest import cylinder_by_itinerary
+from tests.conftest import branch_rows, cylinder_by_itinerary
 
 
 def test_fatten_examples():
@@ -88,7 +88,7 @@ def brute_force_return_counts(m, base_lo, base_hi, n_max):
 def test_cheb_branch_counts_vs_brute_force(cheb, cheb_tower):
     base = cylinder_by_itinerary(cheb, 1, (0,))
     scheme = build_scheme(cheb, cheb_tower, base, delta=0.1, n_max=10)
-    got = collections.Counter(b.tau for b in scheme.branches)
+    got = collections.Counter(scheme.taus.tolist())
     want = brute_force_return_counts(cheb, base.lo, base.hi, 10)
     assert dict(got) == want
 
@@ -96,9 +96,9 @@ def test_cheb_branch_counts_vs_brute_force(cheb, cheb_tower):
 def test_tent2_full_shift_structure(tent2, tent2_tower):
     base = cylinder_by_itinerary(tent2, 1, (0,))
     scheme = build_scheme(tent2, tent2_tower, base, delta=0.1, n_max=8)
-    taus = sorted(b.tau for b in scheme.branches)
+    taus = sorted(scheme.taus.tolist())
     assert taus == list(range(1, 9))  # one branch per return time
-    for b in scheme.branches:
+    for b in branch_rows(scheme.branches):
         assert b.width == pytest.approx(0.5 * 2.0 ** -b.tau, abs=1e-12)
     assert scheme.coverage == pytest.approx(1 - 2.0 ** -8, abs=1e-10)
     assert scheme.lost_boundary == 0.0
@@ -106,16 +106,16 @@ def test_tent2_full_shift_structure(tent2, tent2_tower):
 
 def test_branch_disjointness_and_mass(tent2_scheme, cheb_scheme, tent19_scheme):
     for scheme in (tent2_scheme, cheb_scheme, tent19_scheme):
-        total = sum(b.width for b in scheme.branches)
+        total = sum(b.width for b in branch_rows(scheme.branches))
         assert total <= scheme.base_width + 1e-12
-        ends = sorted((b.lo, b.hi) for b in scheme.branches)
+        ends = sorted(zip(scheme.branches.lo.tolist(), scheme.branches.hi.tolist()))
         for (l1, h1), (l2, h2) in zip(ends[:-1], ends[1:]):
             assert h1 <= l2 + 1e-12
 
 
 def test_branches_map_onto_base(tent19_scheme):
     m = tent19_scheme.map
-    for b in tent19_scheme.branches[::7]:
+    for b in branch_rows(tent19_scheme.branches)[::7]:
         lo, hi = b.lo, b.hi
         for _ in range(b.tau):
             lo, hi = sorted((float(m.f(lo)), float(m.f(hi))))
@@ -131,7 +131,7 @@ def test_return_correctness_on_tower(tent19):
     scheme = build_scheme(tent19, tall, base, delta=0.1, n_max=10)
     cset_ids = {i for i, _, _ in scheme.cset}
     start = sorted(cset_ids)[0]
-    for b in scheme.branches:
+    for b in branch_rows(scheme.branches):
         x, d = 0.5 * (b.lo + b.hi), start
         hit_cap = False
         for j in range(1, b.tau + 1):
@@ -154,7 +154,7 @@ def test_no_unresolved_branches(cheb, cheb_tower):
     # next to the base end that maps onto the critical point 1/2
     base = cylinder_by_itinerary(cheb, 2, (0, 1))
     scheme = build_scheme(cheb, cheb_tower, base, delta=0.1, n_max=28)
-    assert all(b.width > WIDTH_FLOOR for b in scheme.branches)
+    assert np.all(scheme.branches.hi - scheme.branches.lo > WIDTH_FLOOR)
 
 
 @pytest.mark.parametrize("name", ["cheb", "tent19", "logistic"])
@@ -181,7 +181,7 @@ def test_returns_pulled_back_once_per_step(name, request, monkeypatch):
     scheme = build_scheme(m, tower, base, delta=0.1, n_max=16)
     monkeypatch.undo()
     assert 0 < len(calls) <= 16 and set(calls) == {2}
-    for b in scheme.branches:
+    for b in branch_rows(scheme.branches):
         ends, _ = m.pull_back(b.itinerary, (scheme.base_lo, scheme.base_hi),
                               logs=False)
         assert (b.lo, b.hi) == tuple(sorted(ends.tolist()))
@@ -196,10 +196,11 @@ def test_scheme_convergence(tent19, tent19_scheme):
         transitive_component(tw)
         base = cylinder_by_itinerary(m, 2, (0, 1))
         other = build_scheme(m, tw, base, delta=0.1, n_max=10)
-        ours = {b.itinerary: b for b in tent19_scheme.branches if b.tau <= 6}
+        ours = {b.itinerary: b for b in branch_rows(tent19_scheme.branches)
+                if b.tau <= 6}
         worst = 0.0
         matched = 0
-        for b in other.branches:
+        for b in branch_rows(other.branches):
             if b.tau > 6 or b.itinerary not in ours:
                 continue
             a = ours[b.itinerary]
@@ -257,7 +258,7 @@ def test_branches_extend_over_fattened_base(tent2_scheme, cheb_scheme,
     for scheme in (tent2_scheme, cheb_scheme, tent19_scheme):
         m = scheme.map
         target = fatten((scheme.base_lo, scheme.base_hi), scheme.delta)
-        for b in scheme.branches:
+        for b in branch_rows(scheme.branches):
             lo, hi = target
             for sym in reversed(b.itinerary):
                 blo, bhi = m.branch_interval(sym)

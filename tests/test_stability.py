@@ -1,13 +1,20 @@
 """The stability sweep: per-rung error annotation, config keys, and the
 process-pool path."""
 
+import dataclasses
 import math
+import weakref
 
+import numpy as np
 import pytest
 
 from thermoform import stability
-from thermoform.errors import ConfigError, SingularPotentialError
-from tests.conftest import SWEEP_CONFIG
+from thermoform.config import gibbs_kwargs, resolve
+from thermoform.errors import (
+    ConfigError, IncomparableSchemesError, SingularPotentialError,
+)
+from thermoform.thermo import SpectralOperator, gibbs_state
+from tests.conftest import SWEEP_CONFIG, branch_rows
 
 CONFIG = {"family": "tent", "parameter": 1.9, "t_values": (1.0,),
           "ladder": (0.005,), "ladder_direction": -1.0, "base_depth": 2,
@@ -61,3 +68,75 @@ def test_serial_and_pool_rows_identical(tmp_path):
         s = rung[1.0].parameter
         assert rung[0.9].pressure - rung[1.0].pressure == \
             pytest.approx(0.1 * math.log(s), abs=1e-5)
+
+
+def loop_mismatch(base, scheme_b, gs_b, tau_cap):
+    """cylinder_mass_mismatch in its dict-and-loop form, over BranchRows."""
+    bys_a = {b.itinerary: b for b in branch_rows(base.branches)
+             if b.tau <= tau_cap}
+    branches_b = branch_rows(scheme_b.branches)
+    total = 0.0
+    matched_a = set()
+    dens_b = np.array([
+        float(gs_b.branch_mu[j]) / max(b.width, 1e-300)
+        for j, b in enumerate(branches_b)
+    ])
+    for j, bb in enumerate(branches_b):
+        if bb.tau > tau_cap:
+            continue
+        ba = bys_a.get(bb.itinerary)
+        if ba is None:
+            total += float(gs_b.branch_mu[j])
+            continue
+        matched_a.add(bb.itinerary)
+        if ba.hi <= bb.lo or bb.hi <= ba.lo:
+            sym = ba.width + bb.width
+        else:
+            sym = abs(ba.lo - bb.lo) + abs(ba.hi - bb.hi)
+        total += dens_b[j] * sym
+    for itin, ba in bys_a.items():
+        if itin in matched_a:
+            continue
+        for j, bb in enumerate(branches_b):
+            lo = max(ba.lo, bb.lo)
+            hi = min(ba.hi, bb.hi)
+            if hi > lo:
+                total += dens_b[j] * (hi - lo)
+    return total
+
+
+def test_cylinder_mass_mismatch_matches_loop():
+    # logistic a = 4 against a = 3.99: up to tau 8 each scheme has
+    # itineraries the other lacks, so every kind of term is added
+    cfg = resolve({"family": "logistic", "parameter": 4.0, "n_max": 16,
+                   "t_values": (1.0,), "bins": 512})
+    gibbs = gibbs_kwargs(cfg)
+    base = stability._base_state(cfg, gibbs, (1.0,))
+    _, scheme = stability._pipeline_state("logistic", 3.99, base.itinerary, cfg)
+    gs = gibbs_state(SpectralOperator(scheme, cfg["grid"]), 1.0, **gibbs)
+    ours, theirs = ({b.itinerary for b in branch_rows(br) if b.tau <= 8}
+                    for br in (base.branches, scheme.branches))
+    assert ours - theirs and theirs - ours
+    got = stability.cylinder_mass_mismatch(base, scheme, gs, 8)
+    assert got == loop_mismatch(base, scheme, gs, 8)
+    other = dataclasses.replace(base, itinerary=base.itinerary + (0,))
+    with pytest.raises(IncomparableSchemesError):
+        stability.cylinder_mass_mismatch(other, scheme, gs, 8)
+
+
+def test_rung_frees_each_gibbs_state(monkeypatch):
+    # the base holds its states until it projects them all in one call; a
+    # rung drops each t's state before it solves the next t
+    refs, alive = [], []
+    solve = stability.gibbs_state
+
+    def tracked(op, t, **kw):
+        alive.append(sum(r() is not None for r in refs))
+        gs = solve(op, t, **kw)
+        refs.append(weakref.ref(gs))
+        return gs
+
+    monkeypatch.setattr(stability, "gibbs_state", tracked)
+    stability.run_sweep(dict(CONFIG, t_values=(0.9, 1.0), threads=1))
+    assert len(alive) == 4
+    assert alive[2:] == [0, 0]      # the rung's calls

@@ -12,7 +12,7 @@ from thermoform.errors import (
     TransferOperatorDivergedError,
     UnstablePressureWarning,
 )
-from thermoform.inducing import Branch, InducingScheme
+from thermoform.inducing import Branches, InducingScheme
 from thermoform.maps import CriticalPoint, IntervalMap, make_map
 from thermoform.thermo import (
     PROJECTION_CHUNK,
@@ -36,7 +36,9 @@ from thermoform.thermo import (
     zk_sum,
 )
 from thermoform.util import IntervalHistogram
-from tests.conftest import cheb_acip_bin_masses, gibbs_for, project_one
+from tests.conftest import (
+    branch_rows, cheb_acip_bin_masses, gibbs_for, project_one,
+)
 
 LOG2 = math.log(2.0)
 
@@ -104,9 +106,10 @@ def test_induced_phi_vs_finite_difference(cheb_scheme, cheb_op):
     # well-conditioned stencil)
     pot = induced_potential(cheb_op, 1.0, 0.0)
     m = cheb_scheme.map
-    widths = np.array([b.width for b in cheb_scheme.branches])
+    branches = branch_rows(cheb_scheme.branches)
+    widths = np.array([b.width for b in branches])
     for i in np.argsort(-widths)[:3]:
-        b = cheb_scheme.branches[i]
+        b = branches[i]
         x = float(pot.x_fix[i])
         h = 1e-7 * b.width
         up, down = x + h, x - h
@@ -127,7 +130,7 @@ def test_psi_additive_along_words(cheb_scheme):
     xf, sl, lt = periodic_anchors(cheb_scheme, words)
     yf, _, _ = periodic_anchors(cheb_scheme, [(w1, w0) for w0, w1 in words])
     taus = cheb_scheme.taus
-    m, branches = cheb_scheme.map, cheb_scheme.branches
+    m, branches = cheb_scheme.map, branch_rows(cheb_scheme.branches)
 
     for (w0, w1), x, y, total, L in zip(words, xf, yf, sl, lt):
         px, s0 = m.pull_back(branches[w0].itinerary, [y])
@@ -169,7 +172,7 @@ def test_variation_cheb_decay_and_doubling(cheb_scheme, cheb_op):
 
 def fresh_variation(scheme, pot, k_max):
     """V_k of variation_profile with every sampled word pulled back afresh."""
-    taus = scheme.taus
+    taus, branches = scheme.taus, branch_rows(scheme.branches)
     base = scheme.base_lo + np.array([1 / 6, 1 / 2, 5 / 6]) * scheme.base_width
     rank = np.argsort(-np.exp(pot.psi_fix), kind="stable")
     Vs = []
@@ -182,9 +185,9 @@ def fresh_variation(scheme, pot, k_max):
                 continue
             tail = base
             for i in reversed(word[1:]):
-                tail, _ = scheme.map.pull_back(scheme.branches[i].itinerary,
+                tail, _ = scheme.map.pull_back(branches[i].itinerary,
                                                tail, logs=False)
-            _, sl = scheme.map.pull_back(scheme.branches[word[0]].itinerary, tail)
+            _, sl = scheme.map.pull_back(branches[word[0]].itinerary, tail)
             psi = -pot.t * sl
             V = max(V, float(psi.max() - psi.min()))
         Vs.append(V)
@@ -214,12 +217,17 @@ def test_variation_memo_matches_fresh_pullback(cheb_scheme, monkeypatch):
 # Z_k
 # ---------------------------------------------------------------------------
 
+def one_branch(lo, hi):
+    """The Branches of a one-branch scheme: (lo, hi), tau 1, symbol 0."""
+    return Branches(np.array([lo]), np.array([hi]), np.array([1]),
+                    np.zeros((1, 1), dtype=np.int8))
+
+
 def test_zk_single_branch_power():
     # a one-branch scheme has Z_k = w^k with w the branch weight
     m = make_map("tent", {"s": 2.0})
     scheme = InducingScheme(
-        m, 0.0, 0.5, (0,), 0.1, 1,
-        (Branch(0.0, 0.25, 1, (0,)),), 0.5, ((0, 0.0, 1.0),),
+        m, 0.0, 0.5, (0,), 0.1, 1, one_branch(0.0, 0.25), 0.5, ((0, 0.0, 1.0),),
         0.0,
     )
     op = SpectralOperator(scheme)
@@ -397,8 +405,7 @@ def test_non_contracting_branch_detected():
         lambda b, y: np.asarray(y, dtype=float) * 2.0,
     )
     scheme = InducingScheme(
-        fake, 0.0, 0.9, (0,), 0.1, 1,
-        (Branch(0.0, 0.9, 1, (0,)),), 1.0, ((0, 0.0, 1.0),),
+        fake, 0.0, 0.9, (0,), 0.1, 1, one_branch(0.0, 0.9), 1.0, ((0, 0.0, 1.0),),
         0.0,
     )
     with pytest.raises(BranchNotContractingError):
@@ -449,7 +456,7 @@ def sandwich_by_operator_sums(gs, op):
     """The depth-1 Gibbs constant recomputed from the operator's orbit sums
     and the state's pressure and lambda: the sup/inf over branches i and base
     nodes x of mu(X_i) / e^(Psi_1) at the branch-i preimage of x."""
-    psi = gs.psi_eff(op.sumlog, gs.taus[:, None], 1)
+    psi = gs.psi_eff(op.sumlog, gs.scheme.taus[:, None], 1)
     r = gs.branch_mu[:, None] / np.exp(psi)
     return max(1.0, float(r.max()), float(1.0 / r.min()))
 
@@ -525,7 +532,7 @@ def test_branch_children_rows_are_pullbacks(cheb_gibbs):
     # row i holds the kept continuations pulled back through branch i, with
     # the bits of one pull_back through that branch's itinerary
     gs = cheb_gibbs
-    branches = gs.scheme.branches
+    branches = branch_rows(gs.scheme.branches)
     sel, lo, hi, masses = branch_children(gs, cap=50)
     n = len(sel)
     assert lo.shape == hi.shape == masses.shape == (len(branches), n)
@@ -558,7 +565,7 @@ def project_by_branch(scheme, gs, bins=4096, split_parts=32):
     cap = max(8, min(200, 40_000 // max(len(scheme.branches), 1)))
     fracs = np.linspace(0.0, 1.0, split_parts + 1)
     _, children_lo, children_hi, children_mass = branch_children(gs, cap=cap)
-    for i, b in enumerate(scheme.branches):
+    for i, b in enumerate(branch_rows(scheme.branches)):
         clo, chi, masses = children_lo[i], children_hi[i], children_mass[i]
         leftover = max(float(gs.branch_mu[i]) - float(masses.sum()), 0.0)
         order = np.argsort(clo)
@@ -584,7 +591,7 @@ def project_by_branch(scheme, gs, bins=4096, split_parts=32):
             hist.add_many(pts[:, :-1].ravel(), pts[:, 1:].ravel(), part_mass)
             pts = np.asarray(m.f(pts))
     values = hist.values()
-    return values / values.sum(), float((gs.branch_mu * gs.taus).sum())
+    return values / values.sum(), float((gs.branch_mu * scheme.taus).sum())
 
 
 @pytest.mark.parametrize("name", ["tent2", "cheb", "tent19"])
