@@ -124,7 +124,7 @@ def build_scheme(m: IntervalMap, tower: HofbauerTower, base, delta,
                 return True
         return False
 
-    # per step: ends, full flags, taus and itineraries of its returns
+    # an empty entry, then per step: ends, full flags, taus, itineraries of returns
     found = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool),
               np.zeros(0, dtype=int), np.zeros((0, n_max), dtype=np.int8))]
     # piece = (J_lo, J_hi, D_lo, D_hi, word); J is the current image of a
